@@ -1,9 +1,9 @@
 """Shortest path trees and arborescences under per-color edge budgets."""
 
 from .arborescence import (Arborescence, RbPartition, cc_arb_flow,
-                           cc_arb_flow_stats, cc_arb_match, cc_rb_arb,
-                           min_cc_arb_flow, min_cc_arb_flow_stats,
-                           min_cc_rb_arb, rb_partition, unrooted_vertices,
+                           cc_arb_flow_stats, cc_rb_arb, min_cc_arb_flow,
+                           min_cc_arb_flow_stats, min_cc_rb_arb,
+                           rb_partition, solve_cc_arb, unrooted_vertices,
                            verify_arborescence)
 from .constrained_path import (CcSpInstance, ReductionCertificate,
                                VccSpInstance, VertexColoredDigraph,
@@ -15,9 +15,8 @@ from .errors import (BudgetStateOverflow, CCGraphError,
                      PrecisionError, TooManyArborescences,
                      UnreachableVertex, ValidationError, Violation,
                      WrongColorCount)
-from .flow import (BipartiteGraph, FlowAssignment, FlowNetwork,
-                   build_arb_network, dinitz_max_flow, hopcroft_karp,
-                   min_cost_max_flow, min_cut)
+from .flow import (FlowAssignment, FlowNetwork, build_arb_network,
+                   dinitz_max_flow, min_cost_max_flow, min_cut)
 from .graph import (ColorConstraint, ColoredDigraph, EdgeRecord,
                     InDegreeByColor, in_degree_by_color, restrict_to,
                     validate)

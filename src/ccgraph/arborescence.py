@@ -3,9 +3,10 @@
 Every non-root vertex needs exactly one in-edge, so on a DAG rooted at r
 a set of per-vertex in-edge choices is automatically an arborescence; the
 only question is whether the colors of the chosen edges fit the budgets.
-The solvers differ in how they answer it: a flow network, a bipartite
-matching, a direct two-color partition rule, and min-cost variants of the
-flow and two-color routes.
+There is one solver per question, and `solve_cc_arb` picks it from the
+number of colors: a direct two-color partition rule for q = 2 and a flow
+network otherwise, with min-cost variants of both for the minimum-weight
+question.
 
 Tie-breaking is uniform: whenever a vertex may take its in-edge from a
 color in several ways, the edge with the smallest id wins; the min-cost
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import Violation, WrongColorCount
 from .flow import (FlowAssignment, build_arb_network, dinitz_max_flow,
-                   hopcroft_karp, min_cost_max_flow, BipartiteGraph)
+                   min_cost_max_flow)
 from .graph import ColoredDigraph, ColorConstraint
 from .spg import SpgGraph
 
@@ -56,11 +57,9 @@ class RbPartition:
 
 def unrooted_vertices(spg: SpgGraph) -> list[int]:
     """Non-root vertices with no in-edge at all; non-empty means infeasible."""
-    n = spg.n
     _, heads, _, _, _ = spg.columns()
-    deg = np.bincount(heads, minlength=n) if len(heads) else np.zeros(n, int)
-    bad = [int(v) for v in np.flatnonzero(deg == 0) if v != spg.root]
-    return bad
+    deg = np.bincount(heads, minlength=spg.n)
+    return [int(v) for v in np.flatnonzero(deg == 0) if v != spg.root]
 
 
 def rb_partition(spg: SpgGraph) -> RbPartition:
@@ -68,25 +67,23 @@ def rb_partition(spg: SpgGraph) -> RbPartition:
     if spg.q != 2:
         raise WrongColorCount("two-color partition needs exactly 2 colors, "
                               f"got {spg.q}")
-    n, root = spg.n, spg.root
     _, h, c, _, _ = spg.columns()
-    red_ct, blue_ct = _rb_indeg(n, h, c)
-    nonroot = np.ones(n, dtype=bool)
-    nonroot[root] = False
-    v_r = np.flatnonzero(nonroot & (red_ct > 0) & (blue_ct == 0))
-    v_b = np.flatnonzero(nonroot & (blue_ct > 0) & (red_ct == 0))
-    v_rb = np.flatnonzero(nonroot & (red_ct > 0) & (blue_ct > 0))
+    v_r, v_b, v_rb, _ = _rb_classes(spg.n, spg.root, h, c)
     return RbPartition(tuple(v_r.tolist()), tuple(v_b.tolist()),
                        tuple(v_rb.tolist()))
 
 
-def _rb_indeg(n, heads, colors):
-    if len(heads) == 0:
-        z = np.zeros(n, dtype=np.int64)
-        return z, z
-    red_ct = np.bincount(heads[colors == 1], minlength=n)
-    blue_ct = np.bincount(heads[colors == 2], minlength=n)
-    return red_ct, blue_ct
+def _rb_classes(n, root, heads, colors):
+    """Non-root vertices fed by color 1 only, by color 2 only, by both,
+    and by neither, as ascending id arrays."""
+    red = np.bincount(heads[colors == 1], minlength=n) > 0
+    blue = np.bincount(heads[colors == 2], minlength=n) > 0
+    nonroot = np.ones(n, dtype=bool)
+    nonroot[root] = False
+    return (np.flatnonzero(nonroot & red & ~blue),
+            np.flatnonzero(nonroot & blue & ~red),
+            np.flatnonzero(nonroot & red & blue),
+            np.flatnonzero(nonroot & ~red & ~blue))
 
 
 def _pick_smallest(spg: SpgGraph, v: int, color: int) -> int:
@@ -97,39 +94,35 @@ def _pick_smallest(spg: SpgGraph, v: int, color: int) -> int:
     raise AssertionError(f"no edge of color {color} into {v}")
 
 
-def _pick_cheapest(spg: SpgGraph, v: int, color: int) -> int:
-    gcols = spg.graph.colors
-    gw = spg.graph.weights
-    best = -1
-    best_w = None
-    for e in spg.in_edge_ids()[v]:
-        if gcols[e] == color and (best < 0 or gw[e] < best_w):
-            best, best_w = e, gw[e]
-    if best < 0:
-        raise AssertionError(f"no edge of color {color} into {v}")
-    return best
-
-
 def _assemble(g: ColoredDigraph, root: int, parent: dict[int, int]
               ) -> Arborescence:
     counts = [0] * g.q
     total = 0
     for e in parent.values():
         counts[g.colors[e] - 1] += 1
-        total += g.weights[e]
+        total += int(g.weights[e])
     return Arborescence(root=root, parent_edge=dict(parent),
-                        color_counts=tuple(counts), total_weight=int(total))
+                        color_counts=tuple(counts), total_weight=total)
 
 
 def _network_solution(spg: SpgGraph, H, assignment, pick) -> Arborescence:
+    """The tree a full flow selects; pick(v, color) names the edge."""
     lo, hi = H.color_arc_range
     parent: dict[int, int] = {}
     for k in range(lo, hi):
         if assignment.flow[k] > 0:
             color = H.arc_tails[k]
             v = H.node_vertex(H.arc_heads[k])
-            parent[v] = pick(spg, v, color)
+            parent[v] = pick(v, color)
     return _assemble(spg.graph, spg.root, parent)
+
+
+def _ruled_out(spg: SpgGraph, alpha: ColorConstraint) -> bool:
+    """True when the budgets are too small in total or a vertex has no
+    in-edge, so that no flow needs to run."""
+    need = spg.n - 1
+    return (sum(min(a, need) for a in alpha) < need
+            or bool(unrooted_vertices(spg)))
 
 
 def cc_arb_flow(spg: SpgGraph, alpha) -> Arborescence | None:
@@ -143,51 +136,15 @@ def cc_arb_flow_stats(spg: SpgGraph, alpha
     """Like cc_arb_flow but also returns the instrumented flow run."""
     alpha = ColorConstraint.of(alpha)
     alpha.require_length(spg.q)
-    n = spg.n
-    need = n - 1
-    if sum(min(a, need) for a in alpha) < need:
-        return None, None
-    if unrooted_vertices(spg):
+    if _ruled_out(spg, alpha):
         return None, None
     H = build_arb_network(spg, alpha)
     assignment = dinitz_max_flow(H)
-    if assignment.value < need:
+    if assignment.value < spg.n - 1:
         return None, assignment
-    return _network_solution(spg, H, assignment, _pick_smallest), assignment
-
-
-def cc_arb_match(spg: SpgGraph, alpha) -> Arborescence | None:
-    """Color-budgeted arborescence via bipartite matching; None if infeasible.
-
-    Budget slots (color, copy) on the left, non-root vertices on the
-    right; a matching that saturates the right side assigns every vertex a
-    color it can actually use.
-    """
-    alpha = ColorConstraint.of(alpha)
-    alpha.require_length(spg.q)
-    n, q, root = spg.n, spg.q, spg.root
-    need = n - 1
-    caps = alpha.clamped(max(need, 0))
-    if sum(caps) < need:
-        return None
-    if unrooted_vertices(spg):
-        return None
-    pi = spg.in_degree_by_color()
-    rights = [v for v in range(n) if v != root]
-    right_pos = {v: j for j, v in enumerate(rights)}
-    lefts = []
-    adj = []
-    for i in range(1, q + 1):
-        has_color = [right_pos[int(v)] for v in np.nonzero(pi.matrix[:, i])[0]
-                     if v != root]
-        for j in range(1, caps[i - 1] + 1):
-            lefts.append((i, j))
-            adj.append(has_color)
-    matching = hopcroft_karp(BipartiteGraph(lefts, rights, adj))
-    if len(matching) < need:
-        return None
-    parent = {v: _pick_smallest(spg, v, matching[v][0]) for v in matching}
-    return _assemble(spg.graph, spg.root, parent)
+    arb = _network_solution(spg, H, assignment,
+                            lambda v, color: _pick_smallest(spg, v, color))
+    return arb, assignment
 
 
 def _first_edge_by_head(n, heads, edge_ids):
@@ -216,21 +173,13 @@ def cc_rb_arb(spg: SpgGraph, alpha) -> Arborescence | None:
     alpha = ColorConstraint.of(alpha)
     alpha.require_length(2)
     n, root = spg.n, spg.root
-    if n == 1:
-        return Arborescence(root=root, parent_edge={},
-                            color_counts=(0, 0), total_weight=0)
     _, h, c, _, ids = spg.columns()
-    red_ct, blue_ct = _rb_indeg(n, h, c)
-    nonroot = np.ones(n, dtype=bool)
-    nonroot[root] = False
-    if bool(((red_ct == 0) & (blue_ct == 0) & nonroot).any()):
+    v_r, v_b, v_rb, unrooted = _rb_classes(n, root, h, c)
+    if len(unrooted):
         return None
     need = n - 1
     a1 = min(alpha[0], need)
     a2 = min(alpha[1], need)
-    v_r = np.flatnonzero(nonroot & (red_ct > 0) & (blue_ct == 0))
-    v_b = np.flatnonzero(nonroot & (blue_ct > 0) & (red_ct == 0))
-    v_rb = np.flatnonzero(nonroot & (red_ct > 0) & (blue_ct > 0))
     if len(v_r) > a1 or len(v_b) > a2:
         return None
     if len(v_rb) > (a1 - len(v_r)) + (a2 - len(v_b)):
@@ -244,8 +193,9 @@ def cc_rb_arb(spg: SpgGraph, alpha) -> Arborescence | None:
     blue_targets = np.concatenate([v_b, v_rb[take:]])
     red_edges = first_red[red_targets]
     blue_edges = first_blue[blue_targets]
-    gw = np.asarray(spg.graph.columns()[3])
-    total = int(gw[red_edges].sum()) + int(gw[blue_edges].sum())
+    gw = spg.graph.columns()[3]
+    # summed as Python ints: an int64 sum can wrap
+    total = sum(gw[red_edges].tolist()) + sum(gw[blue_edges].tolist())
     parent = dict(zip(red_targets.tolist(), red_edges.tolist()))
     parent.update(zip(blue_targets.tolist(), blue_edges.tolist()))
     return Arborescence(root=root, parent_edge=parent,
@@ -265,12 +215,9 @@ def min_cc_arb_flow_stats(spg: SpgGraph, alpha
     """Like min_cc_arb_flow but also returns the flow run."""
     alpha = ColorConstraint.of(alpha)
     alpha.require_length(spg.q)
+    if _ruled_out(spg, alpha):
+        return None, None
     n, q = spg.n, spg.q
-    need = n - 1
-    if sum(min(a, need) for a in alpha) < need:
-        return None, None
-    if unrooted_vertices(spg):
-        return None, None
     pi = spg.in_degree_by_color()
     _, h, c, w, ids = spg.columns()
     # cheapest edge per (head, color), smallest id on weight ties
@@ -287,16 +234,10 @@ def min_cc_arb_flow_stats(spg: SpgGraph, alpha
                  for hv, cv, e in zip(heads_u, colors_u, ids[chosen])}
     H = build_arb_network(spg, alpha, pi, arc_cost_matrix=cost_matrix)
     assignment = min_cost_max_flow(H)
-    if assignment.value < need:
+    if assignment.value < n - 1:
         return None, assignment
-    lo, hi = H.color_arc_range
-    parent: dict[int, int] = {}
-    for k in range(lo, hi):
-        if assignment.flow[k] > 0:
-            color = H.arc_tails[k]
-            v = H.node_vertex(H.arc_heads[k])
-            parent[v] = pick_edge[(v, color)]
-    arb = _assemble(spg.graph, spg.root, parent)
+    arb = _network_solution(spg, H, assignment,
+                            lambda v, color: pick_edge[(v, color)])
     assert arb.total_weight == assignment.total_cost
     return arb, assignment
 
@@ -314,9 +255,6 @@ def min_cc_rb_arb(spg: SpgGraph, alpha) -> Arborescence | None:
     alpha = ColorConstraint.of(alpha)
     alpha.require_length(2)
     n, root = spg.n, spg.root
-    if n == 1:
-        return Arborescence(root=root, parent_edge={},
-                            color_counts=(0, 0), total_weight=0)
     need = n - 1
     if alpha[0] + alpha[1] < need:
         return None
@@ -377,6 +315,25 @@ def min_cc_rb_arb(spg: SpgGraph, alpha) -> Arborescence | None:
     return _assemble(spg.graph, root, parent)
 
 
+def solve_cc_arb(spg: SpgGraph, alpha, *, minimize: bool = False
+                 ) -> tuple[Arborescence | None, FlowAssignment | None, str]:
+    """Answer the budgeted arborescence question with its one solver.
+
+    Two colors go to the partition rule ("rb"), any other count to the
+    flow network ("flow"); minimize asks for a minimum-weight tree from the
+    min-cost variant of the same solver. Returns the tree (None when the
+    budgets cannot be met), the flow run when there was one, and the
+    solver's name. The solvers are read from this module's namespace on
+    every call, so a wrapped or patched solver is the one that runs.
+    """
+    if spg.q == 2:
+        tree = min_cc_rb_arb(spg, alpha) if minimize else cc_rb_arb(spg, alpha)
+        return tree, None, "rb"
+    solve = min_cc_arb_flow_stats if minimize else cc_arb_flow_stats
+    tree, stats = solve(spg, alpha)
+    return tree, stats, "flow"
+
+
 def verify_arborescence(g: ColoredDigraph, root: int, tree: Arborescence,
                         alpha) -> list[Violation]:
     """Check a claimed arborescence against the graph and the budgets.
@@ -434,7 +391,7 @@ def verify_arborescence(g: ColoredDigraph, root: int, tree: Arborescence,
     total = 0
     for e in usable.values():
         counts[g.colors[e] - 1] += 1
-        total += g.weights[e]
+        total += int(g.weights[e])
     if tuple(counts) != tree.color_counts:
         out.append(Violation("counts_mismatch",
                              f"stored color counts {tree.color_counts} "

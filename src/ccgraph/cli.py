@@ -13,9 +13,7 @@ import sys
 from collections import deque
 from pathlib import Path
 
-from .arborescence import (Arborescence, cc_arb_flow_stats, cc_arb_match,
-                           cc_rb_arb, min_cc_arb_flow_stats, min_cc_rb_arb,
-                           verify_arborescence)
+from .arborescence import Arborescence, solve_cc_arb, verify_arborescence
 from .constrained_path import CcSpInstance, VccSpInstance, cc_to_vcc, \
     cc_sp_decide, vcc_to_cc
 from .errors import CCGraphError
@@ -146,7 +144,7 @@ def _cmd_spt(args, out, err, minimize: bool) -> int:
         source = back.index(source)
     command = "min-cc-spt" if minimize else "cc-spt"
     solve = min_cc_spt if minimize else cc_spt
-    result = solve(g, source, alpha, solver=args.solver)
+    result = solve(g, source, alpha)
     if result is None:
         return _emit_no(args, out, command)
     if args.verify:
@@ -167,28 +165,8 @@ def _cmd_arb(args, out, err, minimize: bool) -> int:
     root = _resolve_vertex(args.source, names, g.n, "source")
     alpha = _parse_alpha(args.alpha)
     spg = SpgGraph.from_dag(g, root)
-    solver = args.solver
-    if solver == "auto":
-        solver = "rb" if g.q == 2 else "flow"
-    stats = None
     command = "min-cc-arb" if minimize else "cc-arb"
-    if minimize:
-        if solver == "flow":
-            tree, stats = min_cc_arb_flow_stats(spg, alpha)
-        elif solver == "rb":
-            tree = min_cc_rb_arb(spg, alpha)
-        else:
-            raise ValueError(f"unknown solver {solver!r} for the "
-                             "min variant")
-    else:
-        if solver == "flow":
-            tree, stats = cc_arb_flow_stats(spg, alpha)
-        elif solver == "match":
-            tree = cc_arb_match(spg, alpha)
-        elif solver == "rb":
-            tree = cc_rb_arb(spg, alpha)
-        else:
-            raise ValueError(f"unknown solver {solver!r}")
+    tree, stats, solver = solve_cc_arb(spg, alpha, minimize=minimize)
     if tree is None:
         return _emit_no(args, out, command)
     if args.verify:
@@ -351,8 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "per-color edge budgets.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, target=False, solver=None, verify=False,
-               restrict=False):
+    def common(p, *, target=False, verify=False, restrict=False):
         p.add_argument("--source", "-s", required=True,
                        help="source vertex id or name")
         if target:
@@ -360,8 +337,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="target vertex id or name")
         p.add_argument("--alpha", "-a", required=True,
                        help="comma-separated per-color budgets")
-        if solver:
-            p.add_argument("--solver", choices=solver, default="auto")
         if verify:
             p.add_argument("--verify", action="store_true",
                            help="re-check the answer before printing")
@@ -372,25 +347,24 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="instance file, or - for stdin")
 
     p = sub.add_parser("cc-spt", help="budget-feasible shortest path tree")
-    common(p, solver=("auto", "flow", "match", "rb"), verify=True,
-           restrict=True)
+    common(p, verify=True, restrict=True)
     p.set_defaults(func=lambda a, o, e: _cmd_spt(a, o, e, False))
 
     p = sub.add_parser("min-cc-spt",
                        help="minimum-weight budget-feasible shortest "
                             "path tree")
-    common(p, solver=("auto", "flow", "rb"), verify=True, restrict=True)
+    common(p, verify=True, restrict=True)
     p.set_defaults(func=lambda a, o, e: _cmd_spt(a, o, e, True))
 
     p = sub.add_parser("cc-arb",
                        help="budgeted arborescence of an acyclic instance")
-    common(p, solver=("auto", "flow", "match", "rb"), verify=True)
+    common(p, verify=True)
     p.set_defaults(func=lambda a, o, e: _cmd_arb(a, o, e, False))
 
     p = sub.add_parser("min-cc-arb",
                        help="minimum-weight budgeted arborescence of an "
                             "acyclic instance")
-    common(p, solver=("auto", "flow", "rb"), verify=True)
+    common(p, verify=True)
     p.set_defaults(func=lambda a, o, e: _cmd_arb(a, o, e, True))
 
     p = sub.add_parser("cc-sp",

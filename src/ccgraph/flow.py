@@ -1,4 +1,4 @@
-"""Flow networks over the tight subgraph, plus bipartite matching.
+"""Flow networks over the tight subgraph.
 
 The arborescence network has a super source, one node per color, one node
 per non-root vertex, and a super sink: source->color arcs carry the color
@@ -15,7 +15,7 @@ run deterministic for a given network.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 import numpy as np
@@ -342,90 +342,3 @@ def min_cut(H: FlowNetwork, assignment: FlowAssignment
     capacity = sum(H.arc_caps[k] for k in range(H.num_arcs)
                    if H.arc_tails[k] in side and H.arc_heads[k] not in side)
     return side, capacity
-
-
-class BipartiteGraph:
-    """Bipartite adjacency between labelled left and right node sets."""
-
-    __slots__ = ("left", "right", "adj")
-
-    def __init__(self, left: list, right: list, adj: list[list[int]]):
-        if len(adj) != len(left):
-            raise ValueError("adjacency must have one row per left node")
-        for row in adj:
-            for r in row:
-                if not (0 <= r < len(right)):
-                    raise ValueError("right index out of range")
-        self.left = left
-        self.right = right
-        self.adj = adj
-
-
-_HK_INF = float("inf")
-
-
-def hopcroft_karp(b: BipartiteGraph) -> dict:
-    """Maximum bipartite matching; returns {right label: left label}.
-
-    Phases of breadth-first layering followed by disjoint augmenting paths
-    found depth-first. Scanning order is fixed by node index, so results
-    are deterministic.
-    """
-    L, R = len(b.left), len(b.right)
-    adj = b.adj
-    match_l = [-1] * L
-    match_r = [-1] * R
-    dist = [0] * L
-
-    def bfs() -> bool:
-        queue = deque()
-        for u in range(L):
-            if match_l[u] < 0:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = _HK_INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for r in adj[u]:
-                w = match_r[r]
-                if w < 0:
-                    found = True
-                elif dist[w] == _HK_INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    def try_augment(u0: int) -> bool:
-        # iterative alternating DFS; stack holds (left node, adjacency pos)
-        stack = [(u0, 0)]
-        while stack:
-            u, i = stack[-1]
-            if i == len(adj[u]):
-                dist[u] = _HK_INF
-                stack.pop()
-                if stack:
-                    pu, pi = stack[-1]
-                    stack[-1] = (pu, pi + 1)
-                continue
-            r = adj[u][i]
-            w = match_r[r]
-            if w < 0:
-                for su, si in stack:
-                    rr = adj[su][si]
-                    match_r[rr] = su
-                    match_l[su] = rr
-                return True
-            if dist[w] == dist[u] + 1:
-                stack.append((w, 0))
-            else:
-                stack[-1] = (u, i + 1)
-        return False
-
-    while bfs():
-        for u in range(L):
-            if match_l[u] < 0:
-                try_augment(u)
-    return {b.right[r]: b.left[match_r[r]]
-            for r in range(R) if match_r[r] >= 0}

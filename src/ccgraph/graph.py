@@ -37,9 +37,10 @@ class ColoredDigraph:
     """Immutable edge-colored digraph backed by parallel edge columns.
 
     The columns are plain lists for ordinary use; bulk generators may supply
-    numpy int64 arrays instead and the vectorized code paths will use them
-    without copying. Adjacency indexes are built lazily and cached, which is
-    safe because instances never change after construction.
+    numpy int64 arrays instead. Either way the code reads them through
+    `columns()`, so there is one code path whatever the storage. Adjacency
+    indexes are built lazily and cached, which is safe because instances
+    never change after construction.
     """
 
     __slots__ = ("n", "q", "tails", "heads", "colors", "weights",
@@ -95,12 +96,14 @@ class ColoredDigraph:
             yield self.edge(j)
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Edge columns as int64 arrays (cached; no copy if already arrays)."""
+        """Edge columns as arrays (cached; no copy if already int64 arrays).
+
+        Each column is int64 when its values fit, else an object array of
+        Python ints (see `_int_array`).
+        """
         if self._cols is None:
-            self._cols = (np.asarray(self.tails, dtype=np.int64),
-                          np.asarray(self.heads, dtype=np.int64),
-                          np.asarray(self.colors, dtype=np.int64),
-                          np.asarray(self.weights, dtype=np.int64))
+            self._cols = (_int_array(self.tails), _int_array(self.heads),
+                          _int_array(self.colors), _int_array(self.weights))
         return self._cols
 
     def in_edge_ids(self) -> list[list[int]]:
@@ -138,41 +141,50 @@ class ColoredDigraph:
         return f"ColoredDigraph(n={self.n}, q={self.q}, m={self.m})"
 
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _int_array(values) -> np.ndarray:
+    """Integers as an int64 array, or as an object array of Python ints
+    when some value does not fit int64.
+
+    Comparisons and arithmetic on the object form are exact, so code that
+    works on the result needs no second path for out-of-range values.
+    """
+    try:
+        return np.asarray(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([int(v) for v in values], dtype=object)
+
+
+def _magnitude(a: np.ndarray) -> int:
+    """Largest absolute value in an integer array, as a Python int."""
+    return max(-int(a.min()), int(a.max()), 0) if len(a) else 0
+
+
 def validate(g: ColoredDigraph) -> ValidationError | None:
     """Check structural invariants; return the first violation or None.
 
     Per-edge check order is fixed: endpoint range, self-loop, color range.
     """
-    n, q, m = g.n, g.q, g.m
-    if m == 0:
+    n, q = g.n, g.q
+    if g.m == 0:
         return None
-    if isinstance(g.tails, np.ndarray):
-        t, h, c, _ = g.columns()
-        bad_v = (t < 0) | (t >= n) | (h < 0) | (h >= n)
-        loops = (t == h) & ~bad_v
-        bad_c = ((c < 1) | (c > q)) & ~bad_v & ~loops
-        any_bad = bad_v | loops | bad_c
-        if not any_bad.any():
-            return None
-        j = int(np.argmax(any_bad))
-        if bad_v[j]:
-            return ValidationError(BAD_VERTEX_ID, j,
-                                   f"edge {j} endpoint out of range")
-        if loops[j]:
-            return ValidationError(SELF_LOOP, j, f"edge {j} is a self-loop")
-        return ValidationError(BAD_COLOR_ID, j,
-                               f"edge {j} color out of range 1..{q}")
-    for j in range(m):
-        t, h, c = g.tails[j], g.heads[j], g.colors[j]
-        if not (0 <= t < n) or not (0 <= h < n):
-            return ValidationError(BAD_VERTEX_ID, j,
-                                   f"edge {j} endpoint out of range")
-        if t == h:
-            return ValidationError(SELF_LOOP, j, f"edge {j} is a self-loop")
-        if not (1 <= c <= q):
-            return ValidationError(BAD_COLOR_ID, j,
-                                   f"edge {j} color out of range 1..{q}")
-    return None
+    t, h, c, _ = g.columns()
+    bad_v = (t < 0) | (t >= n) | (h < 0) | (h >= n)
+    loops = (t == h) & ~bad_v
+    bad_c = ((c < 1) | (c > q)) & ~bad_v & ~loops
+    any_bad = bad_v | loops | bad_c
+    if not any_bad.any():
+        return None
+    j = int(np.argmax(any_bad))
+    if bad_v[j]:
+        return ValidationError(BAD_VERTEX_ID, j,
+                               f"edge {j} endpoint out of range")
+    if loops[j]:
+        return ValidationError(SELF_LOOP, j, f"edge {j} is a self-loop")
+    return ValidationError(BAD_COLOR_ID, j,
+                           f"edge {j} color out of range 1..{q}")
 
 
 class ColorConstraint:

@@ -1,7 +1,8 @@
 """End-to-end shortest-path-tree solving under color budgets.
 
 cc_spt and min_cc_spt run the whole chain: single-source distances, tight
-subgraph extraction, then an arborescence solver on the tight subgraph.
+subgraph extraction, then the arborescence solver that `solve_cc_arb`
+picks for the tight subgraph.
 Any arborescence of that subgraph is a shortest-path tree of the original
 graph, so feasibility and optimal weight transfer directly.
 """
@@ -10,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arborescence import (Arborescence, cc_arb_flow_stats, cc_arb_match,
-                           cc_rb_arb, min_cc_arb_flow_stats, min_cc_rb_arb,
-                           verify_arborescence)
+from .arborescence import Arborescence, solve_cc_arb, verify_arborescence
 from .errors import LowerBoundTooLarge, Violation
 from .flow import FlowAssignment
 from .graph import ColoredDigraph, ColorConstraint
@@ -30,69 +29,40 @@ class SptResult:
     phase_stats: FlowAssignment | None = None
 
 
-def cc_spt(g: ColoredDigraph, source: int, alpha, *,
-           solver: str = "auto") -> SptResult | None:
+def cc_spt(g: ColoredDigraph, source: int, alpha) -> SptResult | None:
     """Shortest-path tree from source with per-color edge budgets.
 
     Returns None when distances are fine but no tree fits the budgets.
     Raises for the structural failures: a negative cycle reachable from
     the source, an unreachable vertex, or a zero-weight cycle among the
-    tight edges. solver is auto, flow, match, or rb (two colors only);
-    auto picks rb for two colors and flow otherwise.
+    tight edges. The solver follows from the number of colors: rb for two,
+    flow otherwise; solver_used says which.
     """
-    alpha = ColorConstraint.of(alpha)
-    alpha.require_length(g.q)
-    if solver == "auto":
-        solver = "rb" if g.q == 2 else "flow"
-    if solver not in ("flow", "match", "rb"):
-        raise ValueError(f"unknown solver {solver!r}")
-    distances = sssp(g, source)
-    spg = build_spg(g, source, distances)
-    stats = None
-    if solver == "flow":
-        tree, stats = cc_arb_flow_stats(spg, alpha)
-    elif solver == "match":
-        tree = cc_arb_match(spg, alpha)
-    else:
-        tree = cc_rb_arb(spg, alpha)
-    if tree is None:
-        return None
-    result = SptResult(tree=tree, distances=distances,
-                       spg_edge_count=spg.edge_count, solver_used=solver,
-                       phase_stats=stats)
-    if __debug__:
-        bad = verify_spt(g, source, result, alpha)
-        assert not bad, bad[0]
-    return result
+    return _spt(g, source, alpha, minimize=False)
 
 
-def min_cc_spt(g: ColoredDigraph, source: int, alpha, *,
-               solver: str = "auto") -> SptResult | None:
+def min_cc_spt(g: ColoredDigraph, source: int, alpha) -> SptResult | None:
     """Minimum-weight budget-feasible shortest-path tree from source.
 
     Every tree here spans the same distances; minimality is over the sum
-    of tree edge weights. solver is auto, flow, or rb; the matching route
-    has no cost-aware variant.
+    of tree edge weights. Fails like cc_spt; the solver is min_rb for two
+    colors and min_flow otherwise.
     """
+    return _spt(g, source, alpha, minimize=True)
+
+
+def _spt(g: ColoredDigraph, source: int, alpha, *, minimize: bool
+         ) -> SptResult | None:
     alpha = ColorConstraint.of(alpha)
     alpha.require_length(g.q)
-    if solver == "auto":
-        solver = "rb" if g.q == 2 else "flow"
-    if solver not in ("flow", "rb"):
-        raise ValueError(f"unknown solver {solver!r} for the min variant")
     distances = sssp(g, source)
     spg = build_spg(g, source, distances)
-    stats = None
-    if solver == "flow":
-        tree, stats = min_cc_arb_flow_stats(spg, alpha)
-        used = "min_flow"
-    else:
-        tree = min_cc_rb_arb(spg, alpha)
-        used = "min_rb"
+    tree, stats, solver = solve_cc_arb(spg, alpha, minimize=minimize)
     if tree is None:
         return None
     result = SptResult(tree=tree, distances=distances,
-                       spg_edge_count=spg.edge_count, solver_used=used,
+                       spg_edge_count=spg.edge_count,
+                       solver_used=("min_" if minimize else "") + solver,
                        phase_stats=stats)
     if __debug__:
         bad = verify_spt(g, source, result, alpha)
@@ -145,7 +115,7 @@ def verify_spt(g: ColoredDigraph, source: int, spt, alpha
                 return None
         acc = path_w[u]
         for x in reversed(chain):
-            acc += g.weights[tree.parent_edge[x]]
+            acc += int(g.weights[tree.parent_edge[x]])
             path_w[x] = acc
         return path_w[v]
 

@@ -26,7 +26,8 @@ from .errors import (
     NotAcyclic,
     UnreachableVertex,
 )
-from .graph import ColoredDigraph, InDegreeByColor, _in_degree_matrix
+from .graph import (INT64_MAX, ColoredDigraph, InDegreeByColor,
+                    _in_degree_matrix, _int_array, _magnitude)
 
 UNREACHABLE = None
 
@@ -70,11 +71,8 @@ def sssp(g: ColoredDigraph, source: int, mode: str = "auto") -> DistanceTable:
 def _pick_mode(g: ColoredDigraph) -> str:
     if g.m == 0:
         return "bfs"
-    if isinstance(g.weights, np.ndarray):
-        w = g.columns()[3]
-        lo, hi = int(w.min()), int(w.max())
-    else:
-        lo, hi = min(g.weights), max(g.weights)
+    w = g.columns()[3]
+    lo, hi = int(w.min()), int(w.max())
     if lo == hi and lo >= 0:
         return "bfs"
     if lo >= 0:
@@ -334,17 +332,13 @@ def build_spg(g: ColoredDigraph, source: int, d: DistanceTable) -> SpgGraph:
     for v in range(g.n):
         if d.dist[v] is None:
             raise UnreachableVertex(v)
-    tails, heads, weights = g.tails, g.heads, g.weights
-    dist = d.dist
-    if isinstance(tails, np.ndarray):
-        t, h, _, w = g.columns()
-        darr = np.asarray(dist, dtype=np.int64)
-        tight = np.flatnonzero(darr[t] + w == darr[h])
-    else:
-        tight_list = [j for j in range(g.m)
-                      if dist[tails[j]] + weights[j] == dist[heads[j]]]
-        tight = np.asarray(tight_list, dtype=np.int64)
-    res = _kahn(g.n, tight, tails, heads)
+    t, h, _, w = g.columns()
+    dist = _int_array(d.dist)
+    if _magnitude(dist) + _magnitude(w) > INT64_MAX:
+        # dist(u) + w(u, v) could wrap in int64; compare Python ints
+        dist, w = dist.astype(object), w.astype(object)
+    tight = np.flatnonzero(dist[t] + w == dist[h])
+    res = _kahn(g.n, tight, g.tails, g.heads)
     if not res.acyclic:
         raise NonPositiveCycle(res.cycle_vertices, res.cycle_edges)
     return SpgGraph(g, source, tight, res.topo_order)

@@ -1,7 +1,10 @@
 """Reference implementations and instance generators for testing.
 
-Everything here is deliberately naive: oracles enumerate, never optimize,
-and share no code with the solvers they check. Generators are seeded and
+Everything here is deliberately independent of the solvers it checks and
+shares no code with them. The oracles enumerate, never optimize, with one
+exception: `cc_arb_match` answers the budgeted arborescence question by a
+Hopcroft-Karp bipartite matching (`hopcroft_karp` on a `BipartiteGraph`),
+a formulation no production solver uses. Generators are seeded and
 deterministic; corpus builders derive one sub-seed per instance so a
 corpus is reproducible from a single integer.
 """
@@ -9,6 +12,7 @@ corpus is reproducible from a single integer.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from random import Random
 from typing import Iterator, NamedTuple
@@ -36,9 +40,123 @@ def _arb_from_choice(g: ColoredDigraph, root: int,
     total = 0
     for e in choice.values():
         counts[g.colors[e] - 1] += 1
-        total += g.weights[e]
+        total += int(g.weights[e])
     return Arborescence(root=root, parent_edge=dict(choice),
                         color_counts=tuple(counts), total_weight=total)
+
+
+class BipartiteGraph:
+    """Bipartite adjacency between labelled left and right node sets."""
+
+    __slots__ = ("left", "right", "adj")
+
+    def __init__(self, left: list, right: list, adj: list[list[int]]):
+        if len(adj) != len(left):
+            raise ValueError("adjacency must have one row per left node")
+        for row in adj:
+            for r in row:
+                if not (0 <= r < len(right)):
+                    raise ValueError("right index out of range")
+        self.left = left
+        self.right = right
+        self.adj = adj
+
+
+_HK_INF = float("inf")
+
+
+def hopcroft_karp(b: BipartiteGraph) -> dict:
+    """Maximum bipartite matching; returns {right label: left label}.
+
+    Phases of breadth-first layering followed by disjoint augmenting paths
+    found depth-first. Scanning order is fixed by node index, so results
+    are deterministic.
+    """
+    L, R = len(b.left), len(b.right)
+    adj = b.adj
+    match_l = [-1] * L
+    match_r = [-1] * R
+    dist = [0] * L
+
+    def bfs() -> bool:
+        queue = deque()
+        for u in range(L):
+            if match_l[u] < 0:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = _HK_INF
+        found = False
+        while queue:
+            u = queue.popleft()
+            for r in adj[u]:
+                w = match_r[r]
+                if w < 0:
+                    found = True
+                elif dist[w] == _HK_INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found
+
+    def try_augment(u0: int) -> bool:
+        # iterative alternating DFS; stack holds (left node, adjacency pos)
+        stack = [(u0, 0)]
+        while stack:
+            u, i = stack[-1]
+            if i == len(adj[u]):
+                dist[u] = _HK_INF
+                stack.pop()
+                if stack:
+                    pu, pi = stack[-1]
+                    stack[-1] = (pu, pi + 1)
+                continue
+            r = adj[u][i]
+            w = match_r[r]
+            if w < 0:
+                for su, si in stack:
+                    rr = adj[su][si]
+                    match_r[rr] = su
+                    match_l[su] = rr
+                return True
+            if dist[w] == dist[u] + 1:
+                stack.append((w, 0))
+            else:
+                stack[-1] = (u, i + 1)
+        return False
+
+    while bfs():
+        for u in range(L):
+            if match_l[u] < 0:
+                try_augment(u)
+    return {b.right[r]: b.left[match_r[r]]
+            for r in range(R) if match_r[r] >= 0}
+
+
+def cc_arb_match(spg: SpgGraph, alpha) -> Arborescence | None:
+    """Color-budgeted arborescence via bipartite matching; None if infeasible.
+
+    Budget slots (color, copy) on the left, non-root vertices on the
+    right; a matching that saturates the right side assigns every vertex a
+    color it can actually use, and the vertex takes its smallest-id
+    in-edge of that color.
+    """
+    alpha = ColorConstraint.of(alpha)
+    alpha.require_length(spg.q)
+    rights = [v for v in range(spg.n) if v != spg.root]
+    first: dict[int, dict[int, int]] = {v: {} for v in rights}
+    for v in rights:
+        for e in spg.in_edge_ids()[v]:
+            first[v].setdefault(int(spg.graph.colors[e]), e)
+    has_color = {i: [j for j, v in enumerate(rights) if i in first[v]]
+                 for i in range(1, spg.q + 1)}
+    caps = alpha.clamped(len(rights))
+    lefts = [(i, copy) for i in has_color for copy in range(caps[i - 1])]
+    adj = [has_color[i] for i, _ in lefts]
+    matching = hopcroft_karp(BipartiteGraph(lefts, rights, adj))
+    if len(matching) < len(rights):
+        return None
+    return _arb_from_choice(spg.graph, spg.root,
+                            {v: first[v][i] for v, (i, _) in matching.items()})
 
 
 def enumerate_spg_arborescences(spg: SpgGraph, cap: int = 10 ** 6

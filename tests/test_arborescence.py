@@ -3,11 +3,12 @@ from random import Random
 import pytest
 
 from ccgraph import (Arborescence, ColoredDigraph, SpgGraph, WrongColorCount,
-                     cc_arb_flow, cc_arb_flow_stats, cc_arb_match, cc_rb_arb,
+                     cc_arb_flow, cc_arb_flow_stats, cc_rb_arb,
                      min_cc_arb_flow, min_cc_arb_flow_stats, min_cc_rb_arb,
-                     rb_partition, unrooted_vertices, verify_arborescence)
+                     rb_partition, solve_cc_arb, unrooted_vertices,
+                     verify_arborescence)
 from ccgraph.testkit import (brute_cc_arb_general, brute_min_cc_arb,
-                             gen_random_dag)
+                             cc_arb_match, gen_random_dag)
 
 ALL_DECIDERS = [cc_arb_flow, cc_arb_match]
 
@@ -57,6 +58,20 @@ def test_unrooted_vertex_means_infeasible():
     assert unrooted_vertices(spg) == [2]
     assert cc_arb_flow(spg, (5,)) is None
     assert cc_arb_match(spg, (5,)) is None
+
+
+def test_solve_cc_arb_picks_by_color_count(diamond, diamond_spg):
+    tree, stats, solver = solve_cc_arb(diamond_spg, (2, 1))
+    assert solver == "rb" and stats is None
+    assert tree == cc_rb_arb(diamond_spg, (2, 1))
+    tree, stats, solver = solve_cc_arb(diamond_spg, (2, 1), minimize=True)
+    assert solver == "rb" and tree == min_cc_rb_arb(diamond_spg, (2, 1))
+    spg3 = spg_of(diamond.edge_tuples(), 4, 3)
+    tree, stats, solver = solve_cc_arb(spg3, (2, 1, 0))
+    assert solver == "flow" and stats.value == 3
+    assert tree == cc_arb_flow(spg3, (2, 1, 0))
+    tree, stats, solver = solve_cc_arb(spg3, (2, 1, 0), minimize=True)
+    assert solver == "flow" and stats.total_cost == tree.total_weight == 3
 
 
 def test_rb_partition_classes(diamond_spg):

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from ccgraph import SptResult, format_instance
+from ccgraph import (ColoredDigraph, SpgGraph, SptResult, cc_arb_flow,
+                     format_instance, min_cc_arb_flow)
 from ccgraph.cli import run
+from ccgraph.testkit import cc_arb_match
 
 DIAMOND = """\
 p ccg 4 4 2
@@ -32,6 +34,9 @@ UNREACHABLE = """\
 p ccg 3 1 1
 a 0 1 1 1
 """
+
+# The diamond with a third, unused color: answered by the flow solver.
+DIAMOND3 = DIAMOND.replace("p ccg 4 4 2", "p ccg 4 4 3")
 
 
 def cli(*argv, stdin=None, monkeypatch=None):
@@ -64,13 +69,21 @@ def test_spt_infeasible(diamond_file):
     assert code == 1 and out == "s summary no\n"
 
 
-def test_spt_json_output(diamond_file):
+def test_spt_json_output(diamond_file, tmp_path):
     code, out, _ = cli("cc-spt", "--json", "-s", "0", "-a", "2,1",
-                       "--solver", "flow", diamond_file)
+                       diamond_file)
     assert code == 0
     doc = json.loads(out)
     assert doc["command"] == "cc-spt" and doc["feasible"] is True
     assert doc["total_weight"] == 3 and doc["color_counts"] == [2, 1]
+    assert doc["solver"] == "rb" and doc["tight_edges"] == 4
+    assert "stats" not in doc
+    p = tmp_path / "diamond3.ccg"
+    p.write_text(DIAMOND3)
+    code, out, _ = cli("cc-spt", "--json", "-s", "0", "-a", "2,1,0", str(p))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["total_weight"] == 3 and doc["color_counts"] == [2, 1, 0]
     assert doc["solver"] == "flow" and doc["tight_edges"] == 4
     assert {r["vertex"]: r["parent"] for r in doc["tree"]} == {1: 0, 2: 0,
                                                                3: 1}
@@ -88,10 +101,11 @@ def test_spt_json_infeasible(diamond_file):
 
 
 def test_spt_solver_flag(diamond_file):
-    for solver in ("auto", "flow", "match", "rb"):
-        code, out, _ = cli("cc-spt", "-s", "0", "-a", "2,1",
-                           "--solver", solver, diamond_file)
-        assert code == 0 and "s summary yes 3 2 1" in out
+    # the solver follows from the input; there is no option to pick one
+    for command in ("cc-spt", "min-cc-spt", "cc-arb", "min-cc-arb"):
+        code, out, _ = cli(command, "-s", "0", "-a", "2,1",
+                           "--solver", "flow", diamond_file)
+        assert code == 2 and out == ""
 
 
 def test_spt_verify_flag(diamond_file):
@@ -105,8 +119,8 @@ def test_spt_verify_catches_corrupt_solver(diamond_file, monkeypatch):
 
     real = cli_mod.cc_spt
 
-    def corrupt(g, source, alpha, *, solver="auto"):
-        res = real(g, source, alpha, solver=solver)
+    def corrupt(g, source, alpha):
+        res = real(g, source, alpha)
         bad_tree = cli_mod.Arborescence(
             root=res.tree.root, parent_edge=res.tree.parent_edge,
             color_counts=res.tree.color_counts,
@@ -147,13 +161,17 @@ def test_name_resolution(tmp_path):
     assert code == 2 and "error:" in err
 
 
-def test_arb_on_dag(diamond_file):
+def test_arb_on_dag(diamond_file, diamond):
     code, out, _ = cli("cc-arb", "-s", "0", "-a", "2,1", diamond_file)
     assert code == 0 and "s summary yes 3 2 1" in out
-    for solver in ("flow", "match", "rb"):
-        code, out, _ = cli("cc-arb", "-s", "0", "-a", "2,1",
-                           "--solver", solver, diamond_file)
-        assert code == 0
+    code, out, _ = cli("cc-arb", "--json", "-s", "0", "-a", "2,1",
+                       diamond_file)
+    doc = json.loads(out)
+    assert code == 0 and doc["solver"] == "rb"
+    printed = {r["vertex"]: r["edge"] for r in doc["tree"]}
+    spg = SpgGraph.from_dag(diamond, 0)
+    for solver in (cc_arb_flow, cc_arb_match):
+        assert solver(spg, (2, 1)).parent_edge == printed
 
 
 def test_arb_rejects_cycles(tmp_path):
@@ -171,8 +189,12 @@ def test_min_arb(tmp_path):
     code, out, _ = cli("min-cc-arb", "-s", "0", "-a", "1,2", str(p))
     assert code == 0 and "s summary yes 7 1 2" in out
     code, out, _ = cli("min-cc-arb", "--json", "-s", "0", "-a", "1,2",
-                       "--solver", "flow", str(p))
-    assert json.loads(out)["total_weight"] == 7
+                       str(p))
+    doc = json.loads(out)
+    assert doc["total_weight"] == 7 and doc["solver"] == "rb"
+    g = ColoredDigraph(4, 2, [(0, 1, 1, 1), (0, 2, 2, 1), (1, 3, 1, 1),
+                              (2, 3, 2, 5)])
+    assert min_cc_arb_flow(SpgGraph.from_dag(g, 0), (1, 2)).total_weight == 7
 
 
 def test_cc_sp_output(diamond_file):
@@ -324,6 +346,20 @@ def test_bad_inputs_exit_2(tmp_path, diamond_file):
     bad.write_text("p ccg 2 1 1\na 0 0 1 1\n")
     code, _, err = cli("cc-spt", "-s", "0", "-a", "1", str(bad))
     assert code == 2
+    bad.write_text("p ccg 2 1 1\na 0 99999999999999999999 1 1\n")
+    code, _, err = cli("cc-spt", "-s", "0", "-a", "1", str(bad))
+    assert code == 2 and "edge 0 endpoint out of range" in err
+
+
+def test_tree_weight_past_int64(tmp_path):
+    # 2^62 + 2^62 + 1 does not fit int64; the printed total must be exact
+    p = tmp_path / "big.ccg"
+    p.write_text(f"p ccg 4 3 2\na 0 1 1 {1 << 62}\na 0 2 1 {1 << 62}\n"
+                 "a 0 3 2 1\n")
+    for command in ("cc-spt", "min-cc-spt"):
+        code, out, err = cli(command, "-s", "0", "-a", "2,1", str(p))
+        assert code == 0 and err == ""
+        assert out.endswith("s summary yes 9223372036854775809 2 1\n")
 
 
 def test_argparse_exits(diamond_file):

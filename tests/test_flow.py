@@ -5,9 +5,10 @@ from random import Random
 import numpy as np
 import pytest
 
-from ccgraph import (BipartiteGraph, ColoredDigraph, FlowNetwork, SpgGraph,
+from ccgraph import (ColoredDigraph, FlowNetwork, SpgGraph,
                      build_arb_network, build_spg, dinitz_max_flow,
-                     hopcroft_karp, min_cost_max_flow, min_cut, sssp)
+                     min_cost_max_flow, min_cut, sssp)
+from ccgraph.testkit import BipartiteGraph, hopcroft_karp
 
 
 def edmonds_karp_value(H):

@@ -30,6 +30,10 @@ def test_vertex_out_of_range_rejected():
     g = ColoredDigraph(2, 1, [(0, 5, 1, 0)])
     bad = validate(g)
     assert bad.kind == BAD_VERTEX_ID
+    # an endpoint int64 cannot hold
+    g = ColoredDigraph(3, 1, [(0, 1, 1, 0), (0, 10 ** 20, 1, 0)])
+    bad = validate(g)
+    assert bad.kind == BAD_VERTEX_ID and bad.edge_index == 1
 
 
 def test_color_zero_rejected():
@@ -65,6 +69,9 @@ def test_columns_are_int64_and_cached(diamond):
     assert all(a.dtype == np.int64 for a in (t, h, c, w))
     assert t is diamond.columns()[0]
     assert h.tolist() == [1, 2, 3, 3]
+    # a column that int64 cannot hold stays exact as Python ints
+    big = ColoredDigraph(2, 1, [(0, 1, 1, -(1 << 64))])
+    assert big.columns()[3].tolist() == [-(1 << 64)]
 
 
 def test_graph_equality_by_structure(diamond):

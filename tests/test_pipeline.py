@@ -1,13 +1,16 @@
 from random import Random
 
+import numpy as np
 import pytest
 
 from ccgraph import (Arborescence, ColorConstraint, ColoredDigraph,
                      DistanceTable, LowerBoundTooLarge,
                      NegativeCycleReachable, NonPositiveCycle, SpgGraph,
                      SptResult, UnreachableVertex, at_least_transform,
-                     cc_spt, min_cc_spt, verify_spt)
-from ccgraph.testkit import (brute_min_cc_arb, enumerate_spg_arborescences,
+                     cc_arb_flow, cc_rb_arb, cc_spt, min_cc_arb_flow,
+                     min_cc_rb_arb, min_cc_spt, verify_spt)
+from ccgraph.testkit import (brute_min_cc_arb, cc_arb_match,
+                             enumerate_spg_arborescences,
                              gen_random_positive_cycle_digraph)
 from ccgraph.spg import build_spg, sssp
 
@@ -30,18 +33,23 @@ def test_diamond_spt_infeasible(diamond):
 
 
 def test_spt_solver_selection(diamond):
-    assert cc_spt(diamond, 0, (2, 1), solver="flow").solver_used == "flow"
-    assert cc_spt(diamond, 0, (2, 1), solver="match").solver_used == "match"
-    with pytest.raises(ValueError):
-        cc_spt(diamond, 0, (2, 1), solver="bogus")
+    # the number of colors picks the solver; there is no way to choose one
+    assert cc_spt(diamond, 0, (2, 1)).solver_used == "rb"
     q3 = ColoredDigraph(2, 3, [(0, 1, 3, 1)])
     assert cc_spt(q3, 0, (0, 0, 1)).solver_used == "flow"
-    with pytest.raises(Exception):
-        cc_spt(q3, 0, (0, 0, 1), solver="rb")
+    assert min_cc_spt(q3, 0, (0, 0, 1)).solver_used == "min_flow"
+    with pytest.raises(TypeError):
+        cc_spt(diamond, 0, (2, 1), solver="flow")
+    with pytest.raises(TypeError):
+        min_cc_spt(diamond, 0, (2, 1), solver="flow")
 
 
 def test_spt_flow_records_stats(diamond):
-    res = cc_spt(diamond, 0, (2, 1), solver="flow")
+    # the diamond with a third, unused color goes to the flow solver
+    diamond3 = ColoredDigraph(4, 3, diamond.edge_tuples())
+    res = cc_spt(diamond3, 0, (2, 1, 0))
+    assert res.solver_used == "flow"
+    assert res.tree.parent_edge == {1: 0, 2: 1, 3: 2}
     assert res.phase_stats is not None and res.phase_stats.value == 3
     assert cc_spt(diamond, 0, (2, 1)).phase_stats is None
 
@@ -55,16 +63,16 @@ def test_min_spt_diamond(diamond_min):
     cheap = min_cc_spt(diamond_min, 0, (2, 1))
     assert cheap.tree.total_weight == 3
     assert cheap.solver_used == "min_rb"
-    flow = min_cc_spt(diamond_min, 0, (2, 1), solver="flow")
+    # the same instance with a third, unused color goes to min-cost flow
+    diamond_min3 = ColoredDigraph(4, 3, diamond_min.edge_tuples())
+    flow = min_cc_spt(diamond_min3, 0, (2, 1, 0))
     assert flow.tree.total_weight == 3
     assert flow.solver_used == "min_flow"
     assert flow.phase_stats is not None and flow.phase_stats.total_cost == 3
     # the heavy 2->3 edge is not tight, so it cannot carry color 2 here
     assert min_cc_spt(diamond_min, 0, (1, 2)) is None
-    assert min_cc_spt(diamond_min, 0, (1, 2), solver="flow") is None
+    assert min_cc_spt(diamond_min3, 0, (1, 2, 0)) is None
     assert min_cc_spt(diamond_min, 0, (2, 0)) is None
-    with pytest.raises(ValueError):
-        min_cc_spt(diamond_min, 0, (2, 1), solver="match")
 
 
 def test_min_spt_vacuous_budget_takes_cheapest_tight_edges(diamond_min):
@@ -111,11 +119,19 @@ def test_spt_matches_brute_on_random_positive_graphs():
                                               40_000 + i)
         alpha = tuple(rng.randint(0, n) for _ in range(q))
         want = brute_spt_feasible(g, 0, alpha)
-        for solver in ("flow", "match") + (("rb",) if q == 2 else ()):
-            res = cc_spt(g, 0, alpha, solver=solver)
-            assert (res is not None) == want, (i, solver)
-            if res is not None:
-                assert verify_spt(g, 0, res, alpha) == []
+        res = cc_spt(g, 0, alpha)
+        assert (res is not None) == want, i
+        if res is not None:
+            assert verify_spt(g, 0, res, alpha) == []
+        # every solver of the question, on the same tight subgraph
+        spg = build_spg(g, 0, sssp(g, 0))
+        solvers = (cc_arb_flow, cc_arb_match) + ((cc_rb_arb,) if q == 2
+                                                 else ())
+        for solver in solvers:
+            tree = solver(spg, alpha)
+            assert (tree is not None) == want, (i, solver.__name__)
+            if tree is not None:
+                assert verify_spt(g, 0, tree, alpha) == []
 
 
 def test_min_spt_matches_brute_on_random_positive_graphs():
@@ -128,13 +144,59 @@ def test_min_spt_matches_brute_on_random_positive_graphs():
         alpha = tuple(rng.randint(0, n) for _ in range(q))
         spg = build_spg(g, 0, sssp(g, 0))
         best = brute_min_cc_arb(spg, alpha)
-        solvers = ("flow",) + (("rb",) if q == 2 else ())
+        res = min_cc_spt(g, 0, alpha)
+        assert (res is None) == (best is None), i
+        if res is not None:
+            assert res.tree.total_weight == best, i
+            assert verify_spt(g, 0, res, alpha) == []
+        solvers = (min_cc_arb_flow,) + ((min_cc_rb_arb,) if q == 2 else ())
         for solver in solvers:
-            res = min_cc_spt(g, 0, alpha, solver=solver)
-            assert (res is None) == (best is None), (i, solver)
-            if res is not None:
-                assert res.tree.total_weight == best, (i, solver)
-                assert verify_spt(g, 0, res, alpha) == []
+            tree = solver(spg, alpha)
+            assert (tree is None) == (best is None), (i, solver.__name__)
+            if tree is not None:
+                assert tree.total_weight == best, (i, solver.__name__)
+                assert verify_spt(g, 0, tree, alpha) == []
+
+
+BIG = 1 << 62
+# Every tree must take all three edges, so it weighs 2^63 + 1, one more
+# than int64 holds; in the chain the distances pass 2^63 as well.
+OVERFLOW_CASES = {
+    "fan-q2": (2, [(0, 1, 1, BIG), (0, 2, 1, BIG), (0, 3, 2, 1)], (2, 1)),
+    "fan-q3": (3, [(0, 1, 1, BIG), (0, 2, 2, BIG), (0, 3, 3, 1)], (1, 1, 1)),
+    "chain-q3": (3, [(0, 1, 1, BIG), (1, 2, 2, BIG), (2, 3, 3, 1)],
+                 (1, 1, 1)),
+}
+
+
+def stored(q, edges, storage):
+    if storage == "list":
+        return ColoredDigraph(4, q, edges)
+    return ColoredDigraph.from_columns(
+        4, q, *(np.array(col, dtype=np.int64) for col in zip(*edges)))
+
+
+@pytest.mark.parametrize("storage", ["list", "array"])
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_tree_weight_past_int64_is_exact(case, storage):
+    q, edges, alpha = OVERFLOW_CASES[case]
+    g = stored(q, edges, storage)
+    for solve in (cc_spt, min_cc_spt):
+        res = solve(g, 0, alpha)
+        assert res.tree.total_weight == 2 * BIG + 1
+        assert verify_spt(g, 0, res, alpha) == []
+
+
+@pytest.mark.parametrize("storage", ["list", "array"])
+def test_verify_spt_flags_wrapped_total(storage):
+    q, edges, alpha = OVERFLOW_CASES["fan-q3"]
+    g = stored(q, edges, storage)
+    tree = cc_spt(g, 0, alpha).tree
+    wrapped = Arborescence(root=0, parent_edge=tree.parent_edge,
+                           color_counts=tree.color_counts,
+                           total_weight=2 * BIG + 1 - (1 << 64))
+    kinds = [v.kind for v in verify_spt(g, 0, wrapped, alpha)]
+    assert kinds == ["weight_mismatch"]
 
 
 def test_verify_spt_flags_slack_edge(diamond):
@@ -237,7 +299,9 @@ def test_at_least_transform_mapped_counts_meet_lower_bounds():
                 at_least_transform(g, lower)
             continue
         padded, upper = at_least_transform(g, lower)
-        res = cc_spt(padded, 0, upper, solver="flow")
+        res = cc_spt(padded, 0, upper)
+        spg = build_spg(padded, 0, sssp(padded, 0))
+        assert (cc_arb_flow(spg, upper) is None) == (res is None), i
         if res is None:
             continue
         hits += 1
