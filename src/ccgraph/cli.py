@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from collections import deque
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 from .arborescence import Arborescence, solve_cc_arb, verify_arborescence
@@ -413,10 +414,12 @@ def run(argv, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    # argparse prints usage, errors and --help to sys.stdout/sys.stderr
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args, out, err)
     except (CCGraphError, ValueError, OSError) as exc:

@@ -224,6 +224,8 @@ def cc_sp_decide(inst: CcSpInstance, *,
             raise BudgetStateOverflow(
                 f"budget vectors per vertex exceed {state_cap}")
     out_ids = g.out_edge_ids()
+    # Python ints: numpy scalars would wrap on weights near int64's limit
+    heads, colors, weights = (x.tolist() for x in g.columns()[1:])
     zero = (0,) * q
     best: dict[tuple[int, tuple[int, ...]], int] = {(s, zero): 0}
     pred: dict[tuple[int, tuple[int, ...]],
@@ -232,12 +234,12 @@ def cc_sp_decide(inst: CcSpInstance, *,
         changed = False
         for (v, used), w in list(best.items()):
             for e in out_ids[v]:
-                c = g.colors[e] - 1
+                c = colors[e] - 1
                 if used[c] >= caps[c]:
                     continue
                 nused = used[:c] + (used[c] + 1,) + used[c + 1:]
-                key = (g.heads[e], nused)
-                nw = w + g.weights[e]
+                key = (heads[e], nused)
+                nw = w + weights[e]
                 old = best.get(key)
                 if old is None or nw < old:
                     best[key] = nw

@@ -332,13 +332,24 @@ def build_spg(g: ColoredDigraph, source: int, d: DistanceTable) -> SpgGraph:
     for v in range(g.n):
         if d.dist[v] is None:
             raise UnreachableVertex(v)
-    t, h, _, w = g.columns()
-    dist = _int_array(d.dist)
-    if _magnitude(dist) + _magnitude(w) > INT64_MAX:
-        # dist(u) + w(u, v) could wrap in int64; compare Python ints
-        dist, w = dist.astype(object), w.astype(object)
-    tight = np.flatnonzero(dist[t] + w == dist[h])
+    via, at = _relaxations(g, d.dist)
+    tight = np.flatnonzero(via == at)
     res = _kahn(g.n, tight, g.tails, g.heads)
     if not res.acyclic:
         raise NonPositiveCycle(res.cycle_vertices, res.cycle_edges)
     return SpgGraph(g, source, tight, res.topo_order)
+
+
+def _relaxations(g: ColoredDigraph, dist: Sequence[int]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """dist(u) + w(u, v) and dist(v) for every edge (u, v), exactly.
+
+    `dist` must hold an integer for every vertex. The arrays are int64
+    when no sum can pass it, else object arrays of Python ints.
+    """
+    t, h, _, w = g.columns()
+    dist = _int_array(dist)
+    if _magnitude(dist) + _magnitude(w) > INT64_MAX:
+        # dist(u) + w(u, v) could wrap in int64; compare Python ints
+        dist, w = dist.astype(object), w.astype(object)
+    return dist[t] + w, dist[h]

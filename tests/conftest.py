@@ -1,6 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from ccgraph import ColoredDigraph, SpgGraph, build_spg, sssp
+
+# Tier-1 runs the same examples every time, in bounded time; a failure is
+# found again by rerunning, so no example database is kept.
+settings.register_profile("ccgraph", derandomize=True, deadline=None,
+                          max_examples=200, database=None)
+settings.load_profile("ccgraph")
 
 # The diamond graph used throughout: s=0, a=1, b=2, t=3.
 # Both s-t paths have weight 2; a is reachable only in color 1, b only in

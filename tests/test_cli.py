@@ -295,6 +295,19 @@ def test_verify_command_flags_missing_tree_edge(tmp_path, diamond_file):
     assert code == 1 and "violation: missing_edge" in out
 
 
+def test_verify_spt_command_flags_negative_cycle(tmp_path):
+    # the cycle 1 -> 2 -> 1 weighs -2 and is reachable from 0
+    p = tmp_path / "neg.ccg"
+    p.write_text("p ccg 3 3 1\na 0 1 1 1\na 1 2 1 -3\na 2 1 1 1\n")
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_text("t 1 0 1 1\nt 2 1 1 -3\n")
+    code, out, _ = cli("verify", "spt", "-s", "0", "-a", "2",
+                       "--tree", str(tree_file), str(p))
+    assert code == 1
+    assert out == ("violation: not_shortest: tree path to 1 weighs 1, "
+                   "edge 2 from 2 gives -1\n")
+
+
 def test_verify_command_uses_stated_summary(tmp_path, diamond_file):
     tree_file = tmp_path / "tree.txt"
     tree_file.write_text("t 1 0 1 1\nt 2 0 2 1\nt 3 1 1 1\n"
@@ -369,6 +382,18 @@ def test_argparse_exits(diamond_file):
     assert code == 2
     code, _, _ = cli("--help")
     assert code == 0
+
+
+def test_argparse_output_goes_to_given_streams(diamond_file, capsys):
+    code, out, err = cli("cc-spt", "--bogus", "-s", "0", "-a", "2,1",
+                         diamond_file)
+    assert code == 2 and out == ""
+    assert err.startswith("usage: ccgraph")
+    assert "unrecognized arguments: --bogus" in err
+    code, out, err = cli("--help")
+    assert code == 0 and err == ""
+    assert out.startswith("usage: ccgraph") and "cc-spt" in out
+    assert capsys.readouterr() == ("", "")
 
 
 def test_negative_cycle_exits_2(tmp_path):

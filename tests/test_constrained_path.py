@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ccgraph import (BudgetStateOverflow, CcSpInstance, ColorConstraint,
@@ -85,6 +86,21 @@ def test_decide_zero_weight_cycles_are_stripped():
     inst = CcSpInstance(g, 0, 2, (3,))
     got = cc_sp_decide(inst)
     assert got == [0, 1]
+
+
+@pytest.mark.parametrize("storage", ["list", "array"])
+def test_decide_weight_past_int64_is_exact(storage):
+    # the path weighs 2^63 + 1, one more than int64 holds
+    big = 1 << 62
+    edges = [(0, 1, 1, big), (1, 2, 2, big), (2, 3, 1, 1)]
+    if storage == "list":
+        g = ColoredDigraph(4, 2, edges)
+    else:
+        g = ColoredDigraph.from_columns(
+            4, 2, *(np.array(col, dtype=np.int64) for col in zip(*edges)))
+    inst = CcSpInstance(g, 0, 3, (2, 1))
+    assert cc_sp_decide(inst) == [0, 1, 2]
+    assert cc_sp_decide(CcSpInstance(g, 0, 3, (1, 1))) is None
 
 
 def test_decide_state_overflow():

@@ -1,7 +1,9 @@
+import warnings
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ccgraph import (Arborescence, ColorConstraint, ColoredDigraph,
                      DistanceTable, LowerBoundTooLarge,
@@ -228,6 +230,101 @@ def test_verify_spt_reports_arborescence_trouble_first(diamond):
 def test_verify_spt_accepts_bare_arborescence(diamond):
     tree = cc_spt(diamond, 0, (2, 1)).tree
     assert verify_spt(diamond, 0, tree, (2, 1)) == []
+
+
+def test_verify_spt_rejects_tree_under_negative_cycle():
+    # the cycle 1 -> 2 -> 1 weighs -2 and is reachable from 0
+    g = ColoredDigraph(3, 1, [(0, 1, 1, 1), (1, 2, 1, -3), (2, 1, 1, 1)])
+    tree = Arborescence(root=0, parent_edge={1: 0, 2: 1},
+                        color_counts=(2,), total_weight=-2)
+    bad = verify_spt(g, 0, tree, (2,))
+    assert [(v.kind, v.vertex, v.edge) for v in bad] == [
+        ("not_shortest", 1, 2)]
+
+
+@pytest.mark.parametrize("storage", ["list", "array"])
+def test_verify_spt_accepts_tree_near_int64(storage):
+    # d_T(2) = 2^63 - 1, so d_T(2) + w passes int64 on both edges out of 2
+    edges = [(0, 1, 1, BIG), (1, 2, 1, BIG - 1), (2, 0, 1, BIG),
+             (2, 1, 1, BIG), (0, 3, 1, 1)]
+    g = stored(1, edges, storage)
+    tree = Arborescence(root=0, parent_edge={1: 0, 2: 1, 3: 4},
+                        color_counts=(3,), total_weight=2 * BIG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_spt(g, 0, tree, (3,)) == []
+
+
+def bellman_ford_says_spt(g, source, parent):
+    """Oracle: every tree path weighs the Bellman-Ford distance of its end."""
+    try:
+        dist = sssp(g, source, mode="bellman_ford").dist
+    except NegativeCycleReachable:
+        return False
+    for v in range(g.n):
+        u, weight = v, 0
+        for _ in range(g.n):
+            if u == source:
+                break
+            e = parent.get(u)
+            if e is None:
+                return False
+            u, weight = int(g.tails[e]), weight + int(g.weights[e])
+        if u != source or dist[v] != weight:
+            return False
+    return True
+
+
+@st.composite
+def candidate_trees(draw):
+    """A small digraph and one in-edge choice per non-root vertex that has
+    one; half the time the choice keeps to tight edges when distances
+    exist, so that shortest-path trees are common."""
+    n = draw(st.integers(1, 7))
+    q = draw(st.integers(1, 3))
+    weight = st.sampled_from([*range(-3, 6), BIG, -BIG])
+    edges = []
+    if draw(st.booleans()):
+        # an edge into each vertex from a lower one: all are reachable
+        edges = [(draw(st.integers(0, v - 1)), v, draw(st.integers(1, q)),
+                  draw(weight)) for v in range(1, n)]
+    edges += draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.integers(1, q), weight)
+        .filter(lambda e: e[0] != e[1]), max_size=2 * n))
+    if draw(st.sampled_from(["list", "array"])) == "list" or not edges:
+        g = ColoredDigraph(n, q, edges)
+    else:
+        g = ColoredDigraph.from_columns(
+            n, q, *(np.array(col, dtype=np.int64) for col in zip(*edges)))
+    try:
+        dist = sssp(g, 0, mode="bellman_ford").dist
+    except NegativeCycleReachable:
+        dist = None
+    tight_only = draw(st.booleans()) and dist is not None
+    parent = {}
+    for v in range(1, n):
+        ins = [e for e, (t, h, _, w) in enumerate(edges) if h == v
+               and not (tight_only and (dist[t] is None
+                                        or dist[t] + w != dist[v]))]
+        if ins:
+            parent[v] = draw(st.sampled_from(ins))
+    return g, parent
+
+
+@given(candidate_trees())
+def test_verify_spt_agrees_with_bellman_ford(case):
+    g, parent = case
+    counts = [0] * g.q
+    for e in parent.values():
+        counts[int(g.colors[e]) - 1] += 1
+    tree = Arborescence(root=0, parent_edge=parent,
+                        color_counts=tuple(counts),
+                        total_weight=sum(int(g.weights[e])
+                                         for e in parent.values()))
+    alpha = (g.n,) * g.q
+    assert (verify_spt(g, 0, tree, alpha) == []) == \
+        bellman_ford_says_spt(g, 0, parent)
 
 
 def test_at_least_transform_shapes(diamond):
