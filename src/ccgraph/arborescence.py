@@ -226,7 +226,9 @@ def min_cc_arb_flow_stats(spg: SpgGraph, alpha
     keys_sorted = key[order]
     uniq, first = np.unique(keys_sorted, return_index=True)
     chosen = order[first]
-    cost_matrix = np.zeros((n, q + 1), dtype=np.int64)
+    # the weight column's dtype: object when int64 cannot hold a weight,
+    # so arc costs reach the flow as exact Python ints
+    cost_matrix = np.zeros((n, q + 1), dtype=w.dtype)
     heads_u = (uniq // (q + 1)).astype(np.int64)
     colors_u = (uniq % (q + 1)).astype(np.int64)
     cost_matrix[heads_u, colors_u] = w[chosen]

@@ -10,6 +10,18 @@ Residual arcs are stored as paired slots: arc k occupies slots 2k (forward)
 and 2k+1 (reverse), so slot ^ 1 is always the partner. Adjacency lists are
 scanned in insertion order with a current-arc pointer, which makes every
 run deterministic for a given network.
+
+One blocking-flow core (`_dinitz`) serves both questions. The maximum
+flow is a single run of it; the minimum-cost maximum flow runs it once per
+primal-dual round, on the arcs whose reduced cost a Dijkstra has just
+brought to zero (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, 9.8).
+The rounds are at most the distinct lengths of a shortest augmenting
+path, which never shrink. On the arborescence network with color->vertex
+costs in [lo, hi], the first such path is source->color->vertex->sink, of
+length >= lo, and a simple residual path enters each of the q color nodes
+at most once (from the source, or back along a used color->vertex arc),
+so its length is at most q*hi - (q-1)*lo: at most q*(hi-lo) + 1 rounds,
+whatever the flow value.
 """
 
 from __future__ import annotations
@@ -72,7 +84,15 @@ class FlowNetwork:
 
 @dataclass
 class FlowAssignment:
-    """A feasible flow plus the instrumentation of the run that found it."""
+    """A feasible flow plus the instrumentation of the run that found it.
+
+    From `dinitz_max_flow`, phases_executed counts the level graphs on
+    which the sink was reachable. From `min_cost_max_flow`, it counts the
+    primal-dual rounds, that is the Dijkstra searches that reached the
+    sink. In both, advances, retreats and augments are the steps and
+    augmenting paths of the depth-first blocking-flow search, summed over
+    every run of it.
+    """
 
     flow: list[int]
     value: int
@@ -153,8 +173,21 @@ def dinitz_max_flow(H: FlowNetwork) -> FlowAssignment:
     if any(c != 0 for c in H.arc_costs):
         raise ValueError("dinitz_max_flow requires all arc costs zero")
     to, cap, adj, _ = _residual(H, False)
-    src, snk = H.source, H.sink
-    num_nodes = H.num_nodes
+    total, phases, advances, retreats, augments = _dinitz(
+        to, cap, adj, H.source, H.sink)
+    flows = [cap[2 * k + 1] for k in range(H.num_arcs)]
+    return FlowAssignment(flow=flows, value=total, phases_executed=phases,
+                          total_cost=0, advances=advances, retreats=retreats,
+                          augments=augments)
+
+
+def _dinitz(to, cap, adj, src: int, snk: int):
+    """Push a maximum flow from src to snk over the slots listed in adj.
+
+    Updates cap in place and returns (value, phases, advances, retreats,
+    augments), counted as `dinitz_max_flow` documents them.
+    """
+    num_nodes = len(adj)
     phases = advances = retreats = augments = 0
     total = 0
     while True:
@@ -211,10 +244,7 @@ def dinitz_max_flow(H: FlowNetwork) -> FlowAssignment:
                 level[u] = -1  # dead for the rest of the phase
                 path_nodes.pop()
                 path_arcs.pop()
-    flows = [cap[2 * k + 1] for k in range(H.num_arcs)]
-    return FlowAssignment(flow=flows, value=total, phases_executed=phases,
-                          total_cost=0, advances=advances, retreats=retreats,
-                          augments=augments)
+    return total, phases, advances, retreats, augments
 
 
 def _reachable_forward(adj, to, cap, start: int) -> list[bool]:
@@ -246,12 +276,18 @@ def _reachable_backward(adj, to, cap, start: int) -> list[bool]:
 
 
 def min_cost_max_flow(H: FlowNetwork) -> FlowAssignment:
-    """Minimum-cost maximum flow by successive shortest augmenting paths.
+    """Minimum-cost maximum flow by the primal-dual method.
 
-    Costs may be negative; the first potentials come from Bellman-Ford and
-    every later search is Dijkstra on reduced costs. The network must not
-    contain a negative-cost cycle of positive capacity (the arborescence
-    networks are layered, so they never do).
+    Costs may be negative; the first potentials come from Bellman-Ford
+    over the nodes that lie on some source-sink path. Each round then runs
+    one Dijkstra on reduced costs, raises the potentials by the distances
+    (capped at the sink's), and pushes a maximum flow with `_dinitz` over
+    the residual arcs whose reduced cost is now zero: every augmenting
+    path of that round is a shortest one. Each round lengthens the
+    shortest augmenting path, so the rounds are at most the number of its
+    distinct lengths, not the flow value. The network must not contain a
+    negative-cost cycle of positive capacity (the arborescence networks
+    are layered, so they never do); one raises ValueError.
     """
     to, cap, adj, cost = _residual(H, True)
     src, snk = H.source, H.sink
@@ -284,9 +320,7 @@ def min_cost_max_flow(H: FlowNetwork) -> FlowAssignment:
         raise ValueError("negative-cost cycle in flow network")
     phi = dist
     total = 0
-    total_cost = 0
-    augments = 0
-    pred_slot = [-1] * num_nodes
+    rounds = advances = retreats = augments = 0
     while True:
         dist = [INF] * num_nodes
         dist[src] = 0
@@ -302,32 +336,31 @@ def min_cost_max_flow(H: FlowNetwork) -> FlowAssignment:
                 nd = d + cost[k] + phi[u] - phi[v]
                 if nd < dist[v]:
                     dist[v] = nd
-                    pred_slot[v] = k
                     heappush(heap, (nd, v))
         if dist[snk] == INF:
             break
         ds = dist[snk]
         for v in alive_nodes:
             phi[v] += min(dist[v], ds)
-        bottleneck = None
-        v = snk
-        while v != src:
-            k = pred_slot[v]
-            if bottleneck is None or cap[k] < bottleneck:
-                bottleneck = cap[k]
-            v = to[k ^ 1]
-        v = snk
-        while v != src:
-            k = pred_slot[v]
-            cap[k] -= bottleneck
-            cap[k ^ 1] += bottleneck
-            v = to[k ^ 1]
-        total += bottleneck
-        augments += 1
+        # every s-t path of zero reduced cost is now a shortest one; slot
+        # k ^ 1 has the opposite reduced cost of k, so pushing flow here
+        # leaves no residual slot with a negative one
+        admissible: list[list[int]] = [[] for _ in range(num_nodes)]
+        for u in alive_nodes:
+            pu = phi[u]
+            admissible[u] = [k for k in adj[u] if alive[to[k]]
+                             and cost[k] + pu - phi[to[k]] == 0]
+        value, _, adv, ret, aug = _dinitz(to, cap, admissible, src, snk)
+        rounds += 1
+        total += value
+        advances += adv
+        retreats += ret
+        augments += aug
     flows = [cap[2 * k + 1] for k in range(H.num_arcs)]
     total_cost = sum(c * f for c, f in zip(H.arc_costs, flows))
-    return FlowAssignment(flow=flows, value=total, phases_executed=0,
-                          total_cost=total_cost, augments=augments)
+    return FlowAssignment(flow=flows, value=total, phases_executed=rounds,
+                          total_cost=total_cost, advances=advances,
+                          retreats=retreats, augments=augments)
 
 
 def min_cut(H: FlowNetwork, assignment: FlowAssignment

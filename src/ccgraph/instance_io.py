@@ -152,6 +152,21 @@ class _Reader:
             raise ParseError(f"unknown vertex {token!r}", lineno) from None
 
     def _weight(self, lineno: int, token: str) -> int:
+        try:
+            w = int(token) * self.scale
+        except ValueError:
+            w = self._decimal_weight(lineno, token)
+        if not (-_WEIGHT_LIMIT <= w < _WEIGHT_LIMIT):
+            raise ParseError(f"weight {token} out of range after scaling",
+                             lineno)
+        if self.undirected and w < 0:
+            raise ParseError(
+                "undirected instances cannot carry negative weights",
+                lineno)
+        return w
+
+    def _decimal_weight(self, lineno: int, token: str) -> int:
+        """A weight that is not an integer literal, read exactly and scaled."""
         if "/" in token:
             raise ParseError("weights must be decimal, not fractions",
                              lineno)
@@ -164,15 +179,7 @@ class _Reader:
             raise PrecisionError(
                 f"weight {token} does not scale to an integer "
                 f"(scale {self.scale})", lineno)
-        w = int(scaled)
-        if not (-_WEIGHT_LIMIT <= w < _WEIGHT_LIMIT):
-            raise ParseError(f"weight {token} out of range after scaling",
-                             lineno)
-        if self.undirected and w < 0:
-            raise ParseError(
-                "undirected instances cannot carry negative weights",
-                lineno)
-        return w
+        return int(scaled)
 
     def _add_edge(self, tail, head, color, weight, lineno):
         self.tails.append(tail)

@@ -197,6 +197,22 @@ def test_min_arb(tmp_path):
     assert min_cc_arb_flow(SpgGraph.from_dag(g, 0), (1, 2)).total_weight == 7
 
 
+def test_min_flow_json_stats(tmp_path):
+    # the min-cost flow reports its primal-dual rounds as phases
+    p = tmp_path / "diamond3.ccg"
+    p.write_text(DIAMOND3)
+    for command, solver in (("min-cc-spt", "min_flow"),
+                            ("min-cc-arb", "flow")):
+        code, out, _ = cli(command, "--json", "-s", "0", "-a", "2,1,0",
+                           str(p))
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["solver"] == solver and doc["total_weight"] == 3
+        assert doc["stats"]["flow_value"] == 3
+        assert doc["stats"]["phases"] >= 1
+        assert doc["stats"]["augments"] >= 1
+
+
 def test_cc_sp_output(diamond_file):
     code, out, _ = cli("cc-sp", "-s", "0", "-t", "3", "-a", "2,0",
                        diamond_file)

@@ -4,11 +4,13 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ccgraph import (ColoredDigraph, FlowNetwork, SpgGraph,
-                     build_arb_network, build_spg, dinitz_max_flow,
+                     build_arb_network, build_spg, cc_arb_flow,
+                     dinitz_max_flow, min_cc_arb_flow_stats,
                      min_cost_max_flow, min_cut, sssp)
-from ccgraph.testkit import BipartiteGraph, hopcroft_karp
+from ccgraph.testkit import BipartiteGraph, gen_layered_dag, hopcroft_karp
 
 
 def edmonds_karp_value(H):
@@ -220,6 +222,70 @@ def test_mcmf_rejects_negative_cost_cycle():
     H.add_arc(2, 3, 1, cost=0)
     with pytest.raises(ValueError):
         min_cost_max_flow(H)
+
+
+@st.composite
+def acyclic_costed_networks(draw):
+    # arcs only go up in node id, so the network itself has no cycle;
+    # parallel arcs are allowed
+    n = draw(st.integers(2, 8))
+    H = FlowNetwork(n, 0, n - 1)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=24)):
+        H.add_arc(u, v, draw(st.integers(0, 4)),
+                  cost=draw(st.integers(-5, 5)))
+    return H
+
+
+def residual_has_negative_cycle(H, flow):
+    # Bellman-Ford from a virtual source joined to every node at cost 0:
+    # a relaxation in round n means a negative-cost residual cycle
+    arcs = []
+    for k, f in enumerate(flow):
+        t, h, c = H.arc_tails[k], H.arc_heads[k], H.arc_costs[k]
+        if f < H.arc_caps[k]:
+            arcs.append((t, h, c))
+        if f > 0:
+            arcs.append((h, t, -c))
+    dist = [0] * H.num_nodes
+    for _ in range(H.num_nodes):
+        changed = False
+        for u, v, c in arcs:
+            if dist[u] + c < dist[v]:
+                dist[v] = dist[u] + c
+                changed = True
+        if not changed:
+            return False
+    return True
+
+
+@given(acyclic_costed_networks())
+def test_mcmf_is_optimal_by_residual_certificate(H):
+    # a maximum flow whose residual network has no negative-cost cycle is
+    # a minimum-cost maximum flow
+    a = min_cost_max_flow(H)
+    assert a.value == edmonds_karp_value(H)
+    check_flow_is_valid(H, a)
+    assert a.total_cost == sum(c * f for c, f in zip(H.arc_costs, a.flow))
+    assert not residual_has_negative_cycle(H, a.flow)
+
+
+def test_min_cost_rounds_do_not_grow_with_the_flow():
+    # 799 units of flow, but with q = 8 colors and weights in 1..3 a
+    # shortest augmenting path has one of at most 8 * (3 - 1) + 1 = 17
+    # lengths, one Dijkstra round each (12 on this instance, the number
+    # of distinct marginal costs, which any primal-dual run shares)
+    g = gen_layered_dag(800, 2400, 8, seed=7)
+    t, h, c, _ = g.columns()
+    w = np.random.default_rng(7).integers(1, 4, g.m).astype(np.int64)
+    spg = SpgGraph.from_dag(ColoredDigraph.from_columns(800, 8, t, h, c, w),
+                            0)
+    budgets = cc_arb_flow(spg, (799,) * 8).color_counts
+    tree, stats = min_cc_arb_flow_stats(spg, budgets)
+    assert stats.value == 799
+    assert 1 <= stats.phases_executed <= 17
+    assert stats.augments >= stats.phases_executed
+    assert tree.total_weight == stats.total_cost
 
 
 def test_bipartite_graph_validation():

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -67,6 +68,42 @@ def test_weight_magnitude_limit():
         parse_instance(f"p ccg 2 1 1\na 0 1 1 {big}\n")
     ok, _ = parse_instance(f"p ccg 2 1 1\na 0 1 1 {-big}\n")
     assert ok.weights[0] == -big
+
+
+def fraction_weight(token, scale, undirected):
+    # reference: any weight token read as an exact decimal by Fraction,
+    # giving the scaled weight or the type of the error it must raise
+    if "/" in token:
+        return ParseError
+    try:
+        scaled = Fraction(token) * scale
+    except (ValueError, ZeroDivisionError):
+        return ParseError
+    if scaled.denominator != 1:
+        return PrecisionError
+    w = int(scaled)
+    if not (-(1 << 63) <= w < 1 << 63) or (undirected and w < 0):
+        return ParseError
+    return w
+
+
+@pytest.mark.parametrize("undirected", [False, True])
+@pytest.mark.parametrize("scale", [1, 100])
+@pytest.mark.parametrize("token", [
+    "7", "-3", "+5", "1_0", "\u0663", "1.50", "1e3", "0x10", "1/2",
+    "9223372036854775807", "9223372036854775808"])
+def test_weight_tokens_read_as_exact_decimals(token, scale, undirected):
+    text = (f"p ccg 2 1 1\nc scale {scale}\n"
+            + ("c undirected\n" if undirected else "")
+            + f"a 0 1 1 {token}\n")
+    expected = fraction_weight(token, scale, undirected)
+    if isinstance(expected, int):
+        g, _ = parse_instance(text)
+        assert g.weights[0] == expected
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_instance(text)
+        assert type(err.value) is expected
 
 
 def test_scale_after_edges_rejected():

@@ -190,6 +190,22 @@ def test_tree_weight_past_int64_is_exact(case, storage):
 
 
 @pytest.mark.parametrize("storage", ["list", "array"])
+def test_single_weight_past_int64_reaches_the_min_cost_flow(storage):
+    # one weight, 2^64, is past int64 by itself; q = 3 takes the flow route
+    cols = ([0, 0, 0], [1, 2, 3], [1, 2, 3], [1 << 64, 1, 1])
+    if storage == "array":
+        cols = tuple(np.array(col, dtype=object if j == 3 else np.int64)
+                     for j, col in enumerate(cols))
+    g = ColoredDigraph.from_columns(4, 3, *cols)
+    for solve in (cc_spt, min_cc_spt):
+        res = solve(g, 0, (1, 1, 1))
+        assert res.tree.total_weight == (1 << 64) + 2
+        assert verify_spt(g, 0, res, (1, 1, 1)) == []
+    assert min_cc_spt(g, 0, (1, 1, 1)).phase_stats.total_cost == (
+        (1 << 64) + 2)
+
+
+@pytest.mark.parametrize("storage", ["list", "array"])
 def test_verify_spt_flags_wrapped_total(storage):
     q, edges, alpha = OVERFLOW_CASES["fan-q3"]
     g = stored(q, edges, storage)
