@@ -8,9 +8,11 @@ number of colors: a direct two-color partition rule for q = 2 and a flow
 network otherwise, with min-cost variants of both for the minimum-weight
 question.
 
-Tie-breaking is uniform: whenever a vertex may take its in-edge from a
-color in several ways, the edge with the smallest id wins; the min-cost
-solvers first minimize weight, then id.
+Tie-breaking is uniform and lives in one place, `_choice`: whenever a
+vertex may take its in-edge from a color in several ways, the edge with
+the smallest id wins; the min-cost solvers first minimize weight, then id.
+The solvers only decide which color each vertex takes, and `_tree` builds
+every answer from the table `_choice` returns.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import Violation, WrongColorCount
 from .flow import (FlowAssignment, build_arb_network, dinitz_max_flow,
                    min_cost_max_flow)
-from .graph import ColoredDigraph, ColorConstraint
+from .graph import INT64_MAX, ColoredDigraph, ColorConstraint, _magnitude
 from .spg import SpgGraph
 
 
@@ -44,15 +46,12 @@ class RbPartition:
     """How the two-color rule classified the non-root vertices.
 
     v_r and v_b are the vertices with in-edges of only the first or only
-    the second color; v_rb can go either way. The min variant splits v_rb
-    by cheaper side into v_rb_first/v_rb_second before any rebalancing.
+    the second color; v_rb can go either way.
     """
 
     v_r: tuple[int, ...]
     v_b: tuple[int, ...]
     v_rb: tuple[int, ...]
-    v_rb_first: tuple[int, ...] = ()
-    v_rb_second: tuple[int, ...] = ()
 
 
 def unrooted_vertices(spg: SpgGraph) -> list[int]:
@@ -86,35 +85,46 @@ def _rb_classes(n, root, heads, colors):
             np.flatnonzero(nonroot & ~red & ~blue))
 
 
-def _pick_smallest(spg: SpgGraph, v: int, color: int) -> int:
-    gcols = spg.graph.colors
-    for e in spg.in_edge_ids()[v]:
-        if gcols[e] == color:
-            return e
-    raise AssertionError(f"no edge of color {color} into {v}")
+def _choice(spg: SpgGraph, minimize: bool) -> np.ndarray:
+    """The in-edge each vertex takes from each color, as an (n, q+1) table.
+
+    Entry [v, c] is the smallest-id edge of color c into v or, with
+    minimize, the lightest such edge and then the smallest id; -1 where v
+    has no in-edge of color c. Column 0 is unused, as in InDegreeByColor.
+    """
+    n, q = spg.n, spg.q
+    _, h, c, w, ids = spg.columns()
+    key = h.astype(np.int64) * (q + 1) + c
+    order = np.lexsort((ids, w, key) if minimize else (ids, key))
+    uniq, first = np.unique(key[order], return_index=True)
+    table = np.full(n * (q + 1), -1, dtype=np.int64)
+    table[uniq] = ids[order[first]]
+    return table.reshape(n, q + 1)
 
 
-def _assemble(g: ColoredDigraph, root: int, parent: dict[int, int]
-              ) -> Arborescence:
-    counts = [0] * g.q
-    total = 0
-    for e in parent.values():
-        counts[g.colors[e] - 1] += 1
-        total += int(g.weights[e])
-    return Arborescence(root=root, parent_edge=dict(parent),
-                        color_counts=tuple(counts), total_weight=total)
+def _tree(spg: SpgGraph, vertices: np.ndarray, edges: np.ndarray
+          ) -> Arborescence:
+    """The arborescence in which vertices[i] takes the edge edges[i]."""
+    _, _, c, w = spg.graph.columns()
+    counts = np.bincount(c[edges], minlength=spg.q + 1)[1:]
+    return Arborescence(root=spg.root,
+                        parent_edge=dict(zip(vertices.tolist(),
+                                             edges.tolist())),
+                        color_counts=tuple(counts.tolist()),
+                        # summed as Python ints: an int64 sum can wrap
+                        total_weight=sum(w[edges].tolist()))
 
 
-def _network_solution(spg: SpgGraph, H, assignment, pick) -> Arborescence:
-    """The tree a full flow selects; pick(v, color) names the edge."""
+def _network_solution(spg: SpgGraph, H, assignment, choice: np.ndarray
+                      ) -> Arborescence:
+    """The tree a full flow selects: each vertex takes its chosen edge of
+    the color whose arc into it carries flow."""
     lo, hi = H.color_arc_range
-    parent: dict[int, int] = {}
-    for k in range(lo, hi):
-        if assignment.flow[k] > 0:
-            color = H.arc_tails[k]
-            v = H.node_vertex(H.arc_heads[k])
-            parent[v] = pick(v, color)
-    return _assemble(spg.graph, spg.root, parent)
+    used = np.flatnonzero(np.asarray(assignment.flow[lo:hi]) > 0)
+    colors = np.asarray(H.arc_tails[lo:hi], dtype=np.int64)[used]
+    vertices = H.node_vertex(np.asarray(H.arc_heads[lo:hi],
+                                        dtype=np.int64)[used])
+    return _tree(spg, vertices, choice[vertices, colors])
 
 
 def _ruled_out(spg: SpgGraph, alpha: ColorConstraint) -> bool:
@@ -142,20 +152,8 @@ def cc_arb_flow_stats(spg: SpgGraph, alpha
     assignment = dinitz_max_flow(H)
     if assignment.value < spg.n - 1:
         return None, assignment
-    arb = _network_solution(spg, H, assignment,
-                            lambda v, color: _pick_smallest(spg, v, color))
-    return arb, assignment
-
-
-def _first_edge_by_head(n, heads, edge_ids):
-    """Smallest edge id into each head, -1 where none; inputs id-ascending."""
-    out = np.full(n, -1, dtype=np.int64)
-    if len(heads):
-        order = np.argsort(heads, kind="stable")
-        hs = heads[order]
-        uniq, first = np.unique(hs, return_index=True)
-        out[uniq] = edge_ids[order[first]]
-    return out
+    return _network_solution(spg, H, assignment,
+                             _choice(spg, False)), assignment
 
 
 def cc_rb_arb(spg: SpgGraph, alpha) -> Arborescence | None:
@@ -173,7 +171,7 @@ def cc_rb_arb(spg: SpgGraph, alpha) -> Arborescence | None:
     alpha = ColorConstraint.of(alpha)
     alpha.require_length(2)
     n, root = spg.n, spg.root
-    _, h, c, _, ids = spg.columns()
+    _, h, c, _, _ = spg.columns()
     v_r, v_b, v_rb, unrooted = _rb_classes(n, root, h, c)
     if len(unrooted):
         return None
@@ -185,22 +183,11 @@ def cc_rb_arb(spg: SpgGraph, alpha) -> Arborescence | None:
     if len(v_rb) > (a1 - len(v_r)) + (a2 - len(v_b)):
         return None
     take = min(len(v_rb), a1 - len(v_r))
-    red_mask = c == 1
-    first_red = _first_edge_by_head(n, h[red_mask], ids[red_mask])
-    blue_mask = c == 2
-    first_blue = _first_edge_by_head(n, h[blue_mask], ids[blue_mask])
-    red_targets = np.concatenate([v_r, v_rb[:take]])
-    blue_targets = np.concatenate([v_b, v_rb[take:]])
-    red_edges = first_red[red_targets]
-    blue_edges = first_blue[blue_targets]
-    gw = spg.graph.columns()[3]
-    # summed as Python ints: an int64 sum can wrap
-    total = sum(gw[red_edges].tolist()) + sum(gw[blue_edges].tolist())
-    parent = dict(zip(red_targets.tolist(), red_edges.tolist()))
-    parent.update(zip(blue_targets.tolist(), blue_edges.tolist()))
-    return Arborescence(root=root, parent_edge=parent,
-                        color_counts=(len(red_targets), len(blue_targets)),
-                        total_weight=total)
+    red = np.concatenate([v_r, v_rb[:take]])
+    blue = np.concatenate([v_b, v_rb[take:]])
+    choice = _choice(spg, False)
+    return _tree(spg, np.concatenate([red, blue]),
+                 np.concatenate([choice[red, 1], choice[blue, 2]]))
 
 
 def min_cc_arb_flow(spg: SpgGraph, alpha) -> Arborescence | None:
@@ -217,29 +204,18 @@ def min_cc_arb_flow_stats(spg: SpgGraph, alpha
     alpha.require_length(spg.q)
     if _ruled_out(spg, alpha):
         return None, None
-    n, q = spg.n, spg.q
-    pi = spg.in_degree_by_color()
-    _, h, c, w, ids = spg.columns()
-    # cheapest edge per (head, color), smallest id on weight ties
-    key = h.astype(np.int64) * (q + 1) + c
-    order = np.lexsort((ids, w, key))
-    keys_sorted = key[order]
-    uniq, first = np.unique(keys_sorted, return_index=True)
-    chosen = order[first]
+    choice = _choice(spg, True)
+    w = spg.graph.columns()[3]
     # the weight column's dtype: object when int64 cannot hold a weight,
     # so arc costs reach the flow as exact Python ints
-    cost_matrix = np.zeros((n, q + 1), dtype=w.dtype)
-    heads_u = (uniq // (q + 1)).astype(np.int64)
-    colors_u = (uniq % (q + 1)).astype(np.int64)
-    cost_matrix[heads_u, colors_u] = w[chosen]
-    pick_edge = {(int(hv), int(cv)): int(e)
-                 for hv, cv, e in zip(heads_u, colors_u, ids[chosen])}
-    H = build_arb_network(spg, alpha, pi, arc_cost_matrix=cost_matrix)
+    cost_matrix = np.zeros(choice.shape, dtype=w.dtype)
+    have = choice >= 0
+    cost_matrix[have] = w[choice[have]]
+    H = build_arb_network(spg, alpha, arc_cost_matrix=cost_matrix)
     assignment = min_cost_max_flow(H)
-    if assignment.value < n - 1:
+    if assignment.value < spg.n - 1:
         return None, assignment
-    arb = _network_solution(spg, H, assignment,
-                            lambda v, color: pick_edge[(v, color)])
+    arb = _network_solution(spg, H, assignment, choice)
     assert arb.total_weight == assignment.total_cost
     return arb, assignment
 
@@ -256,65 +232,39 @@ def min_cc_rb_arb(spg: SpgGraph, alpha) -> Arborescence | None:
                               f"got {spg.q}")
     alpha = ColorConstraint.of(alpha)
     alpha.require_length(2)
-    n, root = spg.n, spg.root
-    need = n - 1
-    if alpha[0] + alpha[1] < need:
+    if _ruled_out(spg, alpha):
         return None
-    a1 = min(alpha[0], need)
-    a2 = min(alpha[1], need)
-    gcols = spg.graph.colors
-    gw = spg.graph.weights
-    in_ids = spg.in_edge_ids()
-    red_best: dict[int, tuple[int, int]] = {}
-    blue_best: dict[int, tuple[int, int]] = {}
-    for v in range(n):
-        if v == root:
-            continue
-        rb = bb = None
-        for e in in_ids[v]:
-            w = gw[e]
-            if gcols[e] == 1:
-                if rb is None or w < rb[0]:
-                    rb = (w, e)
-            else:
-                if bb is None or w < bb[0]:
-                    bb = (w, e)
-        if rb is None and bb is None:
-            return None
-        if rb is not None:
-            red_best[v] = rb
-        if bb is not None:
-            blue_best[v] = bb
-    v_r = [v for v in red_best if v not in blue_best]
-    v_b = [v for v in blue_best if v not in red_best]
+    n, root = spg.n, spg.root
+    a1 = min(alpha[0], n - 1)
+    a2 = min(alpha[1], n - 1)
+    _, h, c, _, _ = spg.columns()
+    v_r, v_b, v_rb, _ = _rb_classes(n, root, h, c)
     if len(v_r) > a1 or len(v_b) > a2:
         return None
-    both = [v for v in red_best if v in blue_best]
-    pref_r = [v for v in both if red_best[v][0] <= blue_best[v][0]]
-    pref_b = [v for v in both if red_best[v][0] > blue_best[v][0]]
-    moved: set[int] = set()
-    if len(v_r) + len(pref_r) > a1:
-        shift = len(v_r) + len(pref_r) - a1
-        if shift > len(pref_r):
-            return None
-        pref_r.sort(key=lambda v: (blue_best[v][0] - red_best[v][0], v))
-        moved = set(pref_r[:shift])
-    elif len(v_b) + len(pref_b) > a2:
-        shift = len(v_b) + len(pref_b) - a2
-        if shift > len(pref_b):
-            return None
-        pref_b.sort(key=lambda v: (red_best[v][0] - blue_best[v][0], v))
-        moved = set(pref_b[:shift])
-    parent = {}
-    for v in v_r:
-        parent[v] = red_best[v][1]
-    for v in v_b:
-        parent[v] = blue_best[v][1]
-    for v in pref_r:
-        parent[v] = blue_best[v][1] if v in moved else red_best[v][1]
-    for v in pref_b:
-        parent[v] = red_best[v][1] if v in moved else blue_best[v][1]
-    return _assemble(spg.graph, root, parent)
+    choice = _choice(spg, True)
+    w = spg.graph.columns()[3]
+    # an int64 difference of two weights can wrap past 2^62; exact ints then
+    if 2 * _magnitude(w) > INT64_MAX:
+        w = w.astype(object)
+    red_w = w[choice[v_rb, 1]]
+    blue_w = w[choice[v_rb, 2]]
+    regret = blue_w - red_w
+    prefers_red = red_w <= blue_w
+    to_red = prefers_red.copy()
+    excess_red = len(v_r) + int(prefers_red.sum()) - a1
+    excess_blue = len(v_b) + int((~prefers_red).sum()) - a2
+    if excess_red > 0:
+        movers = np.flatnonzero(prefers_red)
+        order = np.lexsort((v_rb[movers], regret[movers]))
+        to_red[movers[order[:excess_red]]] = False
+    elif excess_blue > 0:
+        movers = np.flatnonzero(~prefers_red)
+        order = np.lexsort((v_rb[movers], -regret[movers]))
+        to_red[movers[order[:excess_blue]]] = True
+    red = np.concatenate([v_r, v_rb[to_red]])
+    blue = np.concatenate([v_b, v_rb[~to_red]])
+    return _tree(spg, np.concatenate([red, blue]),
+                 np.concatenate([choice[red, 1], choice[blue, 2]]))
 
 
 def solve_cc_arb(spg: SpgGraph, alpha, *, minimize: bool = False

@@ -188,12 +188,7 @@ def _cmd_cc_sp(args, out, err) -> int:
     inst = CcSpInstance(graph=g, source=s, target=t, alpha=alpha)
     path = cc_sp_decide(inst)
     if path is None:
-        if args.json:
-            out.write(json.dumps({"command": "cc-sp", "feasible": False})
-                      + "\n")
-        else:
-            out.write("s summary no\n")
-        return 1
+        return _emit_no(args, out, "cc-sp")
     total = sum(int(g.weights[e]) for e in path)
     if args.json:
         out.write(json.dumps({"command": "cc-sp", "feasible": True,
@@ -330,7 +325,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     "per-color edge budgets.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, *, target=False, verify=False, restrict=False):
+    def common(p, *, target=False, verify=False, restrict=False,
+               with_json=True):
         p.add_argument("--source", "-s", required=True,
                        help="source vertex id or name")
         if target:
@@ -344,7 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if restrict:
             p.add_argument("--restrict-reachable", action="store_true",
                            help="drop vertices unreachable from the source")
-        p.add_argument("--json", action="store_true")
+        if with_json:
+            p.add_argument("--json", action="store_true")
         p.add_argument("file", help="instance file, or - for stdin")
 
     p = sub.add_parser("cc-spt", help="budget-feasible shortest path tree")
@@ -377,7 +374,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="translate between edge- and vertex-colored "
                             "instances")
     p.add_argument("direction", choices=("vcc-to-cc", "cc-to-vcc"))
-    common(p, target=True)
+    common(p, target=True, with_json=False)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("transform",
@@ -385,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("at-least",))
     p.add_argument("--alpha", "-a", required=True,
                    help="comma-separated per-color lower bounds")
-    p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.set_defaults(func=_cmd_transform)
 

@@ -32,7 +32,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .graph import ColorConstraint, InDegreeByColor
+from .graph import ColorConstraint
 from .spg import SpgGraph
 
 
@@ -76,10 +76,11 @@ class FlowNetwork:
         """Network node for graph vertex v (v != root)."""
         return self.q + 1 + v - (1 if v > self.root else 0)
 
-    def node_vertex(self, u: int) -> int:
-        """Graph vertex for a vertex-layer network node."""
+    def node_vertex(self, u: int | np.ndarray) -> int | np.ndarray:
+        """Graph vertex for a vertex-layer network node, or an array of
+        vertices for an array of nodes."""
         v = u - self.q - 1
-        return v if v < self.root else v + 1
+        return v + (v >= self.root)
 
 
 @dataclass
@@ -103,7 +104,7 @@ class FlowAssignment:
     augments: int = 0
 
 
-def build_arb_network(spg: SpgGraph, alpha, pi: InDegreeByColor | None = None,
+def build_arb_network(spg: SpgGraph, alpha,
                       arc_cost_matrix: np.ndarray | None = None
                       ) -> FlowNetwork:
     """Build the arborescence network for the tight subgraph and budgets.
@@ -115,8 +116,7 @@ def build_arb_network(spg: SpgGraph, alpha, pi: InDegreeByColor | None = None,
     alpha = ColorConstraint.of(alpha)
     alpha.require_length(spg.q)
     n, q, root = spg.n, spg.q, spg.root
-    if pi is None:
-        pi = spg.in_degree_by_color()
+    pi = spg.in_degree_by_color()
     H = FlowNetwork(n + q + 1, 0, q + n)
     H.graph_n, H.q, H.root = n, q, root
     caps = alpha.clamped(max(n - 1, 0))

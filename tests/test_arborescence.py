@@ -1,6 +1,8 @@
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ccgraph import (Arborescence, ColoredDigraph, SpgGraph, WrongColorCount,
                      cc_arb_flow, cc_arb_flow_stats, cc_rb_arb,
@@ -168,6 +170,109 @@ def test_min_flow_picks_cheapest_then_smallest_id():
     arb = min_cc_arb_flow(spg, (2,))
     assert arb.parent_edge == {1: 1, 2: 2}
     assert arb.total_weight == 6
+
+
+def test_min_rb_tied_regrets_cross_in_vertex_order():
+    # every vertex prefers the same side by the same margin, so the
+    # smallest ids cross first
+    edges = [e for v in (1, 2, 3) for e in ((0, v, 1, 1), (0, v, 2, 2))]
+    arb = min_cc_rb_arb(spg_of(edges, 4, 2), (1, 2))
+    assert arb.parent_edge == {1: 1, 2: 3, 3: 4}
+    assert (arb.color_counts, arb.total_weight) == ((1, 2), 5)
+    mirror = [(t, h, c, 3 - w) for t, h, c, w in edges]
+    arb = min_cc_rb_arb(spg_of(mirror, 4, 2), (2, 1))
+    assert arb.parent_edge == {1: 0, 2: 2, 3: 5}
+    assert (arb.color_counts, arb.total_weight) == ((2, 1), 5)
+
+
+@pytest.mark.parametrize("storage", ["list", "array"])
+def test_min_rb_regret_past_int64(storage):
+    # vertex 1 would pay 2^63 to cross, which wraps in int64; vertex 2
+    # pays 1, so it is the one that crosses
+    big = 2 ** 62
+    cols = ([0, 0, 0, 0], [1, 1, 2, 2], [1, 2, 1, 2], [-big, big, 0, 1])
+    if storage == "list":
+        g = ColoredDigraph(3, 2, zip(*cols))
+    else:
+        g = ColoredDigraph.from_columns(
+            3, 2, *(np.array(col, dtype=np.int64) for col in cols))
+    arb = min_cc_rb_arb(SpgGraph.from_dag(g, 0), (1, 1))
+    assert arb.parent_edge == {1: 0, 2: 3}
+    assert arb.total_weight == -big + 1
+
+
+EXTREME_WEIGHTS = st.one_of(
+    st.integers(-3, 5), st.sampled_from([2 ** 62, -2 ** 62]),
+    st.integers(0, 3).map(lambda k: 2 ** 63 + k))
+
+
+@st.composite
+def budgeted_dags(draw):
+    # every non-root vertex gets at least one in-edge from an earlier
+    # vertex; labels and edge ids are shuffled so neither follows the
+    # topological order
+    n = draw(st.integers(1, 8))
+    q = draw(st.integers(1, 4))
+    label = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        for _ in range(draw(st.integers(1, 3))):
+            u = draw(st.integers(0, v - 1))
+            edges.append((label[u], label[v], draw(st.integers(1, q)),
+                          draw(EXTREME_WEIGHTS)))
+    edges = draw(st.permutations(edges))
+    if draw(st.booleans()):
+        g = ColoredDigraph(n, q, edges)
+    else:
+        cols = [list(col) for col in zip(*edges)] or [[], [], [], []]
+        w = cols[3]
+        wide = any(abs(x) > 2 ** 63 - 1 for x in w)
+        g = ColoredDigraph.from_columns(
+            n, q, *(np.array(col, dtype=np.int64) for col in cols[:3]),
+            np.array(w, dtype=object if wide else np.int64))
+    alpha = tuple(draw(st.integers(0, n)) for _ in range(q))
+    return SpgGraph.from_dag(g, label[0]), alpha
+
+
+@given(budgeted_dags())
+def test_solvers_take_the_documented_edge_of_each_color(case):
+    spg, alpha = case
+    g = spg.graph
+    solvers = [(cc_arb_flow, False), (min_cc_arb_flow, True)]
+    if spg.q == 2:
+        solvers += [(cc_rb_arb, False), (min_cc_rb_arb, True)]
+    trees = {}
+    for solver, minimize in solvers:
+        arb = trees[solver] = solver(spg, alpha)
+        if arb is None:
+            continue
+        assert_good(spg, arb, alpha)
+        assert type(arb.total_weight) is int
+        for v, e in arb.parent_edge.items():
+            same = [f for f in spg.in_edge_ids()[v]
+                    if g.colors[f] == g.colors[e]]
+            rank = (lambda f: (int(g.weights[f]), f)) if minimize else None
+            assert e == min(same, key=rank), (solver.__name__, v)
+    if spg.q == 2:
+        for a, b in ((cc_arb_flow, cc_rb_arb),
+                     (min_cc_arb_flow, min_cc_rb_arb)):
+            assert (trees[a] is None) == (trees[b] is None)
+        if trees[min_cc_rb_arb] is not None:
+            assert (trees[min_cc_rb_arb].total_weight
+                    == trees[min_cc_arb_flow].total_weight)
+
+
+def test_no_solver_walks_per_vertex_edge_lists(diamond, diamond_spg,
+                                               monkeypatch):
+    def walk(self):
+        raise AssertionError("per-vertex in-edge walk on the solver path")
+
+    spg3 = spg_of(diamond.edge_tuples(), 4, 3)
+    monkeypatch.setattr(SpgGraph, "in_edge_ids", walk)
+    for spg, alpha in ((diamond_spg, (2, 1)), (spg3, (2, 1, 0))):
+        for minimize in (False, True):
+            tree, _, _ = solve_cc_arb(spg, alpha, minimize=minimize)
+            assert tree.parent_edge == {1: 0, 2: 1, 3: 2}
 
 
 def brute_feasible(g, root, alpha):

@@ -263,6 +263,21 @@ def test_transform_at_least(diamond_file):
     assert code == 2 and "error:" in err
 
 
+def test_cc_sp_json_no_answer(diamond_file):
+    code, out, _ = cli("cc-sp", "--json", "-s", "0", "-t", "3", "-a", "1,1",
+                       diamond_file)
+    assert code == 1
+    assert out == '{"command": "cc-sp", "feasible": false}\n'
+
+
+def test_reduce_and_transform_reject_json(diamond_file):
+    for argv in (("reduce", "cc-to-vcc", "-s", "0", "-t", "3", "-a", "2,1"),
+                 ("transform", "at-least", "-a", "2,1")):
+        code, out, err = cli(*argv, "--json", diamond_file)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --json" in err
+
+
 def test_gen_outputs_parse(tmp_path):
     from ccgraph import parse_instance
     for kind, extra in (("dag", ["-q", "3"]),
