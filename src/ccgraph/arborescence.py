@@ -12,7 +12,11 @@ Tie-breaking is uniform and lives in one place, `_choice`: whenever a
 vertex may take its in-edge from a color in several ways, the edge with
 the smallest id wins; the min-cost solvers first minimize weight, then id.
 The solvers only decide which color each vertex takes, and `_tree` builds
-every answer from the table `_choice` returns.
+every answer from the table `_choice` returns. The flow solvers decide it
+per class of interchangeable vertices (same in-colors, and for min cost
+the same `_choice` weight per color): within a class the vertices, in
+ascending id, take the colors in ascending order, as many of each as the
+flow sends from that color into the class.
 """
 
 from __future__ import annotations
@@ -117,14 +121,16 @@ def _tree(spg: SpgGraph, vertices: np.ndarray, edges: np.ndarray
 
 def _network_solution(spg: SpgGraph, H, assignment, choice: np.ndarray
                       ) -> Arborescence:
-    """The tree a full flow selects: each vertex takes its chosen edge of
-    the color whose arc into it carries flow."""
+    """The tree a full flow selects: the members of each class, in
+    ascending id, take the colors whose arcs into the class carry flow, in
+    color order, one member per unit, and each takes its chosen edge of
+    that color."""
     lo, hi = H.color_arc_range
-    used = np.flatnonzero(np.asarray(assignment.flow[lo:hi]) > 0)
-    colors = np.asarray(H.arc_tails[lo:hi], dtype=np.int64)[used]
-    vertices = H.node_vertex(np.asarray(H.arc_heads[lo:hi],
-                                        dtype=np.int64)[used])
-    return _tree(spg, vertices, choice[vertices, colors])
+    # the color->class arcs come class by class in color order, the
+    # order in which class_members lists the classes
+    colors = np.repeat(np.asarray(H.arc_tails[lo:hi], dtype=np.int64),
+                       assignment.flow[lo:hi])
+    return _tree(spg, H.class_members, choice[H.class_members, colors])
 
 
 def _ruled_out(spg: SpgGraph, alpha: ColorConstraint) -> bool:

@@ -1,10 +1,17 @@
 """Flow networks over the tight subgraph.
 
-The arborescence network has a super source, one node per color, one node
-per non-root vertex, and a super sink: source->color arcs carry the color
-budgets, color->vertex arcs (capacity 1) exist exactly where that vertex
-has an incoming edge of that color, and vertex->sink arcs have capacity 1.
-A flow of value n-1 selects one in-edge color per vertex within budget.
+The arborescence network works on vertex classes, not on vertices. Two
+non-root vertices are in one class when they have the same set of
+in-colors and, for the minimum-weight question, the same cost for each of
+them; such vertices are interchangeable. The network has a super source,
+one node per color, one node per class, and a super sink: source->color
+arcs carry the color budgets, a color->class arc exists exactly where the
+class has that in-color, and both it and the class->sink arc have the
+class size as capacity. A flow of value n-1 then says how many vertices
+of each class take their in-edge from each color, within budget; this is
+a transportation problem with q supply nodes and one demand node per class
+(Tokuyama & Nakano, SIAM J. Comput. 24(3), 1995, treat the few-source
+case).
 
 Residual arcs are stored as paired slots: arc k occupies slots 2k (forward)
 and 2k+1 (reverse), so slot ^ 1 is always the partner. Adjacency lists are
@@ -16,12 +23,13 @@ flow is a single run of it; the minimum-cost maximum flow runs it once per
 primal-dual round, on the arcs whose reduced cost a Dijkstra has just
 brought to zero (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, 9.8).
 The rounds are at most the distinct lengths of a shortest augmenting
-path, which never shrink. On the arborescence network with color->vertex
-costs in [lo, hi], the first such path is source->color->vertex->sink, of
+path, which never shrink. On the arborescence network with color->class
+costs in [lo, hi], the first such path is source->color->class->sink, of
 length >= lo, and a simple residual path enters each of the q color nodes
-at most once (from the source, or back along a used color->vertex arc),
+at most once (from the source, or back along a used color->class arc),
 so its length is at most q*hi - (q-1)*lo: at most q*(hi-lo) + 1 rounds,
-whatever the flow value.
+whatever the flow value. Capacities above one do not change this count,
+since it bounds path lengths, not paths.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ class FlowNetwork:
 
     __slots__ = ("num_nodes", "source", "sink",
                  "arc_tails", "arc_heads", "arc_caps", "arc_costs",
-                 "graph_n", "q", "root", "color_arc_range")
+                 "color_arc_range", "class_members")
 
     def __init__(self, num_nodes: int, source: int, sink: int):
         self.num_nodes = num_nodes
@@ -52,10 +60,8 @@ class FlowNetwork:
         self.arc_caps: list[int] = []
         self.arc_costs: list[int] = []
         # set by build_arb_network
-        self.graph_n = None
-        self.q = None
-        self.root = None
         self.color_arc_range = None
+        self.class_members = None
 
     @property
     def num_arcs(self) -> int:
@@ -72,16 +78,6 @@ class FlowNetwork:
         self.arc_costs.append(cost)
         return self.num_arcs - 1
 
-    def vertex_node(self, v: int) -> int:
-        """Network node for graph vertex v (v != root)."""
-        return self.q + 1 + v - (1 if v > self.root else 0)
-
-    def node_vertex(self, u: int | np.ndarray) -> int | np.ndarray:
-        """Graph vertex for a vertex-layer network node, or an array of
-        vertices for an array of nodes."""
-        v = u - self.q - 1
-        return v + (v >= self.root)
-
 
 @dataclass
 class FlowAssignment:
@@ -92,7 +88,8 @@ class FlowAssignment:
     primal-dual rounds, that is the Dijkstra searches that reached the
     sink. In both, advances, retreats and augments are the steps and
     augmenting paths of the depth-first blocking-flow search, summed over
-    every run of it.
+    every run of it. On an arborescence network all of these count work on
+    its class nodes, so one augment may route a whole class.
     """
 
     flow: list[int]
@@ -109,36 +106,62 @@ def build_arb_network(spg: SpgGraph, alpha,
                       ) -> FlowNetwork:
     """Build the arborescence network for the tight subgraph and budgets.
 
-    Node layout: 0 is the super source, 1..q the color nodes, then the
-    non-root vertices in id order, and n+q the super sink. Color->vertex
-    arc costs come from `arc_cost_matrix[v, color]` when given, else 0.
+    Node layout: 0 is the super source, 1..q the color nodes, q+1..q+K the
+    K vertex classes numbered by their smallest members, and q+K+1 the
+    super sink. A vertex's row is its set of in-colors or, when
+    `arc_cost_matrix` is given, the dense rank of `arc_cost_matrix[v,
+    color]` for each in-color and -1 for the others; vertices with equal
+    rows form a class. Color->class arcs come class by class in color
+    order, with the class's cost as their cost (0 without a cost matrix).
+    `class_members` lists the non-root vertices class by class, ascending
+    within each. A flow run on this network counts its phases, augments
+    and steps on the classes, not on the vertices.
     """
     alpha = ColorConstraint.of(alpha)
     alpha.require_length(spg.q)
-    n, q, root = spg.n, spg.q, spg.root
-    pi = spg.in_degree_by_color()
-    H = FlowNetwork(n + q + 1, 0, q + n)
-    H.graph_n, H.q, H.root = n, q, root
+    n, q = spg.n, spg.q
+    _, h, c, _, _ = spg.columns()
+    have = np.zeros((n, q + 1), dtype=bool)
+    have[h, c] = True
+    vertices = np.flatnonzero(np.arange(n) != spg.root)
+    mask = have[vertices, 1:]
+    rows = mask
+    if arc_cost_matrix is not None:
+        # np.unique sorts Python ints too, so object costs stay exact
+        _, rank = np.unique(arc_cost_matrix[vertices, 1:][mask],
+                            return_inverse=True)
+        rows = np.full(mask.shape, -1, dtype=np.int64)
+        rows[mask] = rank
+    # equal rows side by side, ids ascending within each run of them
+    order = np.lexsort((vertices, *rows.T))
+    ranked = rows[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    smallest = vertices[order[starts]]
+    # classes numbered by their smallest members
+    cls = np.argsort(np.argsort(smallest))[np.cumsum(starts) - 1]
+    members = vertices[order[np.argsort(cls, kind="stable")]]
+    sizes = np.bincount(cls, minlength=len(smallest))
+    first = np.sort(smallest)
+    num_classes = len(first)
+    H = FlowNetwork(q + num_classes + 2, 0, q + num_classes + 1)
+    H.class_members = members
     caps = alpha.clamped(max(n - 1, 0))
     for i in range(1, q + 1):
         H.add_arc(0, i, caps[i - 1])
-    vs, cs = np.nonzero(pi.matrix)
-    keep = vs != root
-    vs, cs = vs[keep], cs[keep]
-    vnodes = q + 1 + vs - (vs > root)
+    ks, cs = np.nonzero(have[first, 1:])
+    cs += 1
     start = H.num_arcs
     H.arc_tails.extend(cs.tolist())
-    H.arc_heads.extend(vnodes.tolist())
-    H.arc_caps.extend([1] * len(vs))
+    H.arc_heads.extend((q + 1 + ks).tolist())
+    H.arc_caps.extend(sizes[ks].tolist())
     if arc_cost_matrix is None:
-        H.arc_costs.extend([0] * len(vs))
+        H.arc_costs.extend([0] * len(ks))
     else:
-        H.arc_costs.extend(arc_cost_matrix[vs, cs].tolist())
+        H.arc_costs.extend(arc_cost_matrix[first[ks], cs].tolist())
     H.color_arc_range = (start, H.num_arcs)
-    sink = q + n
-    for v in range(n):
-        if v != root:
-            H.add_arc(H.vertex_node(v), sink, 1)
+    for k in range(num_classes):
+        H.add_arc(q + 1 + k, H.sink, int(sizes[k]))
     return H
 
 

@@ -9,6 +9,7 @@ from ccgraph import (Arborescence, ColoredDigraph, SpgGraph, WrongColorCount,
                      min_cc_arb_flow, min_cc_arb_flow_stats, min_cc_rb_arb,
                      rb_partition, solve_cc_arb, unrooted_vertices,
                      verify_arborescence)
+from ccgraph.arborescence import _choice
 from ccgraph.testkit import (brute_cc_arb_general, brute_min_cc_arb,
                              cc_arb_match, gen_random_dag)
 
@@ -260,6 +261,80 @@ def test_solvers_take_the_documented_edge_of_each_color(case):
         if trees[min_cc_rb_arb] is not None:
             assert (trees[min_cc_rb_arb].total_weight
                     == trees[min_cc_arb_flow].total_weight)
+
+
+@st.composite
+def dags_with_repeated_rows(draw):
+    # each vertex copies one of a few in-edge templates, (color, weight)
+    # pairs, so in-color sets and cheapest-weight rows repeat across
+    # vertices; a heavier second edge of a template color sometimes joins
+    n = draw(st.integers(2, 8))
+    q = draw(st.integers(3, 5))
+    templates = draw(st.lists(
+        st.lists(st.tuples(st.integers(1, q), EXTREME_WEIGHTS),
+                 min_size=1, max_size=2, unique_by=lambda cw: cw[0]),
+        min_size=1, max_size=3))
+    label = draw(st.permutations(range(n)))
+    edges = []
+    for v in range(1, n):
+        template = draw(st.sampled_from(templates))
+        for color, weight in template:
+            edges.append((label[draw(st.integers(0, v - 1))], label[v],
+                          color, weight))
+        if draw(st.integers(0, 3)) == 0:
+            color, weight = template[0]
+            edges.append((label[draw(st.integers(0, v - 1))], label[v],
+                          color, weight + draw(st.integers(0, 2))))
+    edges = draw(st.permutations(edges))
+    if draw(st.booleans()):
+        g = ColoredDigraph(n, q, edges)
+    else:
+        cols = [list(col) for col in zip(*edges)]
+        wide = any(abs(x) > 2 ** 63 - 1 for x in cols[3])
+        g = ColoredDigraph.from_columns(
+            n, q, *(np.array(col, dtype=np.int64) for col in cols[:3]),
+            np.array(cols[3], dtype=object if wide else np.int64))
+    alpha = tuple(draw(st.integers(0, n - 1)) for _ in range(q))
+    return SpgGraph.from_dag(g, label[0]), alpha
+
+
+@given(dags_with_repeated_rows())
+def test_class_network_matches_the_oracles(case):
+    spg, alpha = case
+    g = spg.graph
+    arb, _ = cc_arb_flow_stats(spg, alpha)
+    assert (arb is None) == (cc_arb_match(spg, alpha) is None)
+    cheapest, stats = min_cc_arb_flow_stats(spg, alpha)
+    best = brute_min_cc_arb(spg, alpha)
+    assert (cheapest is None) == (best is None)
+    if cheapest is not None:
+        assert type(cheapest.total_weight) is int
+        assert cheapest.total_weight == stats.total_cost == best
+    for tree, minimize in ((arb, False), (cheapest, True)):
+        if tree is None:
+            continue
+        assert_good(spg, tree, alpha)
+        choice = _choice(spg, minimize)
+        rows = {}
+        for v, e in sorted(tree.parent_edge.items()):
+            color = int(g.colors[e])
+            assert e == choice[v, color]
+            # interchangeable vertices take colors in ascending id order
+            row = tuple(None if f < 0 else int(g.weights[f]) if minimize
+                        else True for f in choice[v, 1:].tolist())
+            assert color >= rows.get(row, color)
+            rows[row] = color
+
+
+@pytest.mark.parametrize("solver", [cc_arb_flow, min_cc_arb_flow])
+def test_class_hands_colors_out_in_id_order(solver):
+    # vertices 1, 2 and 3 form one class fed by colors 1 and 3; budgets
+    # split its flow 2/1, and the two lowest ids take color 1
+    edges = ([(0, v, 3, 1) for v in (3, 2, 1)]
+             + [(0, v, 1, 1) for v in (3, 2, 1)])
+    arb = solver(spg_of(edges, 4, 3), (2, 0, 1))
+    assert arb.parent_edge == {1: 5, 2: 4, 3: 0}
+    assert arb.color_counts == (2, 0, 1)
 
 
 def test_no_solver_walks_per_vertex_edge_lists(diamond, diamond_spg,

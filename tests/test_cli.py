@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -441,3 +445,13 @@ def test_zero_cycle_exits_2(tmp_path):
     assert code == 2
     assert "zero-weight cycle" in err
     assert "t " not in out
+
+
+def test_python_dash_m_reaches_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "ccgraph", "--help"],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: ccgraph")

@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from ccgraph import (ColoredDigraph, FlowNetwork, SpgGraph,
                      build_arb_network, build_spg, cc_arb_flow,
-                     dinitz_max_flow, min_cc_arb_flow_stats,
+                     cc_arb_flow_stats, dinitz_max_flow,
+                     min_cc_arb_flow_stats,
                      min_cost_max_flow, min_cut, sssp)
 from ccgraph.testkit import BipartiteGraph, gen_layered_dag, hopcroft_karp
 
@@ -75,16 +76,28 @@ def random_network(seed):
 
 
 def test_arb_network_layout(diamond_spg):
+    # vertices 1, 2 and 3 have the in-colors {1}, {2} and {1, 2}: three
+    # classes of one vertex each, numbered by their members
     H = build_arb_network(diamond_spg, (2, 1))
     assert (H.num_nodes, H.source, H.sink) == (7, 0, 6)
-    assert (H.graph_n, H.q, H.root) == (4, 2, 0)
     arcs = list(zip(H.arc_tails, H.arc_heads, H.arc_caps))
     assert arcs == [(0, 1, 2), (0, 2, 1),
                     (1, 3, 1), (2, 4, 1), (1, 5, 1), (2, 5, 1),
                     (3, 6, 1), (4, 6, 1), (5, 6, 1)]
     assert H.color_arc_range == (2, 6)
-    assert H.vertex_node(1) == 3 and H.vertex_node(3) == 5
-    assert all(H.node_vertex(H.vertex_node(v)) == v for v in (1, 2, 3))
+    assert H.class_members.tolist() == [1, 2, 3]
+
+
+def test_arb_network_merges_vertices_with_equal_rows():
+    # a star whose 4 leaves each have tight in-edges of colors 1 and 2
+    g = ColoredDigraph(5, 2, [(0, v, c, 1) for v in range(1, 5)
+                              for c in (1, 2)])
+    spg = build_spg(g, 0, sssp(g, 0))
+    H = build_arb_network(spg, (4, 4))
+    assert (H.num_nodes, H.source, H.sink) == (5, 0, 4)
+    assert list(zip(H.arc_tails, H.arc_heads, H.arc_caps)) == [
+        (0, 1, 4), (0, 2, 4), (1, 3, 4), (2, 3, 4), (3, 4, 4)]
+    assert H.class_members.tolist() == [1, 2, 3, 4]
 
 
 def test_arb_network_clamps_budgets(diamond_spg):
@@ -101,14 +114,16 @@ def test_arb_network_single_edge():
 
 
 def test_arb_network_one_arc_per_vertex_color_pair():
-    # vertex 2 has two tight color-1 in-edges but still gets a single unit arc
+    # vertex 2 has two tight color-1 in-edges, vertex 1 one: both have the
+    # in-colors {1}, so they share one class and one color-1 arc
     g = ColoredDigraph(3, 2, [(0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 1, 2)])
     spg = build_spg(g, 0, sssp(g, 0))
     H = build_arb_network(spg, (2, 0))
-    color_arcs = [(H.arc_tails[k], H.arc_heads[k])
-                  for k in range(*H.color_arc_range)]
-    assert color_arcs == [(1, 3), (1, 4)]
-    assert all(H.arc_caps[k] == 1 for k in range(*H.color_arc_range))
+    assert (H.num_nodes, H.source, H.sink) == (5, 0, 4)
+    assert list(zip(H.arc_tails, H.arc_heads, H.arc_caps)) == [
+        (0, 1, 2), (0, 2, 0), (1, 3, 2), (3, 4, 2)]
+    assert H.color_arc_range == (2, 3)
+    assert H.class_members.tolist() == [1, 2]
 
 
 def test_dinitz_diamond_values(diamond_spg):
@@ -286,6 +301,36 @@ def test_min_cost_rounds_do_not_grow_with_the_flow():
     assert 1 <= stats.phases_executed <= 17
     assert stats.augments >= stats.phases_executed
     assert tree.total_weight == stats.total_cost
+
+
+def test_arb_networks_stay_class_sized(monkeypatch):
+    # one node per distinct row of the non-root vertices, not per vertex:
+    # a set of in-colors for the maximum flow, the cheapest weight of each
+    # in-color for the minimum-cost flow (weights redrawn from 1..3 so
+    # that the two groupings differ)
+    from ccgraph import arborescence
+    built = []
+
+    def build(*args, **kwargs):
+        built.append(build_arb_network(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(arborescence, "build_arb_network", build)
+    g = gen_layered_dag(20000, 60000, 8, seed=7)
+    t, h, c, _ = g.columns()
+    w = np.random.default_rng(7).integers(1, 4, g.m).astype(np.int64)
+    g = ColoredDigraph.from_columns(g.n, 8, t, h, c, w)
+    spg = SpgGraph.from_dag(g, 0)
+    cheapest = [{} for _ in range(g.n)]
+    for v, color, weight in zip(h.tolist(), c.tolist(), w.tolist()):
+        cheapest[v][color] = min(weight, cheapest[v].get(color, weight))
+    signatures = {tuple(sorted(row)) for row in cheapest[1:]}
+    cost_rows = {tuple(sorted(row.items())) for row in cheapest[1:]}
+    assert 8 < len(signatures) < len(cost_rows) < g.n // 2
+    cc_arb_flow_stats(spg, (g.n,) * 8)
+    min_cc_arb_flow_stats(spg, (g.n,) * 8)
+    assert [H.num_nodes for H in built] == [8 + len(signatures) + 2,
+                                            8 + len(cost_rows) + 2]
 
 
 def test_bipartite_graph_validation():
