@@ -28,7 +28,8 @@ import numpy as np
 from .errors import Violation, WrongColorCount
 from .flow import (FlowAssignment, build_arb_network, dinitz_max_flow,
                    min_cost_max_flow)
-from .graph import INT64_MAX, ColoredDigraph, ColorConstraint, _magnitude
+from .graph import (INT64_MAX, ColoredDigraph, ColorConstraint, _int_array,
+                    _magnitude)
 from .spg import SpgGraph
 
 
@@ -299,57 +300,65 @@ def verify_arborescence(g: ColoredDigraph, root: int, tree: Arborescence,
     Returns every violation found rather than raising: wrong root, wrong
     coverage, edges that do not point where claimed, unreachable vertices
     (which is how a cycle among the parent edges shows up), count or
-    weight fields that disagree with the edges, and budget overruns.
+    weight fields that disagree with the edges, and budget overruns. The
+    parent edges are checked with array masks, and reachability by the
+    pointer doubling of `_tree_paths`.
     """
+    return _check_arborescence(g, root, tree, alpha)[0]
+
+
+def _check_arborescence(g: ColoredDigraph, root: int, tree: Arborescence,
+                        alpha) -> tuple[list[Violation], np.ndarray | None]:
+    """`verify_arborescence`'s violations, and the d of its `_tree_paths`
+    pass: the tree path weight of every vertex the usable parent edges
+    connect to the root (None on a wrong root)."""
     out: list[Violation] = []
     n, m = g.n, g.m
     if not (0 <= root < n) or tree.root != root:
         out.append(Violation("wrong_root",
                              f"tree rooted at {tree.root}, expected {root}"))
-        return out
-    expected = set(range(n)) - {root}
-    have = set(tree.parent_edge)
-    for v in sorted(expected - have):
+        return out, None
+    _, h, c, w = g.columns()
+    keys = _int_array(list(tree.parent_edge))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    edges = _int_array(list(tree.parent_edge.values()))[order]
+    inside = (keys >= 0) & (keys < n) & (keys != root)
+    vertices = keys[inside].astype(np.int64)
+    covered = np.zeros(n, dtype=bool)
+    covered[vertices] = True
+    covered[root] = True
+    for v in np.flatnonzero(~covered).tolist():
         out.append(Violation("not_spanning", f"vertex {v} has no in-edge",
                              vertex=v))
-    for v in sorted(have - expected):
+    for v in keys[~inside].tolist():
         out.append(Violation("extra_vertex",
                              f"in-edge for vertex {v} outside the graph "
                              "or for the root", vertex=v))
-    usable = {}
-    for v in sorted(have & expected):
-        e = tree.parent_edge[v]
-        if not (0 <= e < m):
+    edges = edges[inside]
+    in_range = (edges >= 0) & (edges < m)
+    wrong = np.zeros(len(edges), dtype=bool)
+    wrong[in_range] = h[edges[in_range].astype(np.int64)] != vertices[in_range]
+    for i in np.flatnonzero(~in_range | wrong).tolist():
+        v, e = int(vertices[i]), int(edges[i])
+        if in_range[i]:
+            out.append(Violation("wrong_head", f"edge {e} enters {h[e]}, "
+                                 f"not {v}", vertex=v, edge=e))
+        else:
             out.append(Violation("missing_edge",
                                  f"edge id {e} out of range", vertex=v,
                                  edge=e))
-            continue
-        if g.heads[e] != v:
-            out.append(Violation("wrong_head",
-                                 f"edge {e} enters {g.heads[e]}, "
-                                 f"not {v}", vertex=v, edge=e))
-            continue
-        usable[v] = e
-    children: dict[int, list[int]] = {}
-    for v, e in usable.items():
-        children.setdefault(g.tails[e], []).append(v)
-    seen = {root}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        for v in children.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    for v in sorted(usable.keys() - seen):
+    usable = in_range & ~wrong
+    vertices = vertices[usable]
+    edges = edges[usable].astype(np.int64)
+    reached, d = _tree_paths(g, root, vertices, edges)
+    for v in vertices[~reached[vertices]].tolist():
         out.append(Violation("not_reachable",
                              f"vertex {v} not reachable from the root "
                              "through the chosen edges", vertex=v))
-    counts = [0] * g.q
-    total = 0
-    for e in usable.values():
-        counts[g.colors[e] - 1] += 1
-        total += int(g.weights[e])
+    counts = np.bincount(c[edges], minlength=g.q + 1)[1:].tolist()
+    # summed as Python ints: an int64 sum can wrap
+    total = sum(w[edges].tolist())
     if tuple(counts) != tree.color_counts:
         out.append(Violation("counts_mismatch",
                              f"stored color counts {tree.color_counts} "
@@ -363,10 +372,38 @@ def verify_arborescence(g: ColoredDigraph, root: int, tree: Arborescence,
         alpha.require_length(g.q)
     except Exception as exc:
         out.append(Violation("budget_length", str(exc)))
-        return out
+        return out, d
     for i in range(g.q):
         if counts[i] > alpha[i]:
             out.append(Violation("color_budget",
                                  f"color {i + 1} used {counts[i]} times, "
                                  f"budget {alpha[i]}"))
-    return out
+    return out, d
+
+
+def _tree_paths(g: ColoredDigraph, root: int, vertices: np.ndarray,
+                edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Which vertices the parent edges connect to the root, and d_T.
+
+    vertices[i] takes the in-edge edges[i] (distinct in-range vertices
+    other than the root, valid edge ids). Every vertex points at the tail
+    of its parent edge, and any other vertex, the root included, at
+    itself; ceil(log2 n) rounds of `d += d[par]; par = par[par]` (Wyllie's
+    list ranking) move each pointer to the end of its parent chain. A
+    vertex is reached when its chain ends at the root, and then d[v] is
+    the weight of its tree path. d is int64 when 2 n max|w| fits, which
+    bounds every partial sum, also around a cycle of parent edges, and an
+    object array of Python ints otherwise.
+    """
+    n = g.n
+    t, _, _, w = g.columns()
+    weights = w[edges]
+    fits = 2 * n * _magnitude(weights) <= INT64_MAX
+    d = np.zeros(n, dtype=np.int64 if fits else object)
+    d[vertices] = weights
+    par = np.arange(n)
+    par[vertices] = t[edges]
+    for _ in range((n - 1).bit_length()):
+        d = d + d[par]
+        par = par[par]
+    return par == root, d

@@ -4,8 +4,11 @@ An edge (u, v) is tight when dist(u) + w(u, v) == dist(v). The subgraph of
 tight edges contains every shortest path from the source; it is acyclic
 exactly when no zero-weight cycle sits on shortest paths, and its spanning
 arborescences rooted at the source are precisely the shortest-path trees of
-the original graph. Zero-weight cycles are therefore detected lazily, at the
-topological sort of the tight subgraph, not during distance computation.
+the original graph. Zero-weight cycles are therefore detected when the tight
+subgraph is built, not during distance computation. Around any cycle of
+tight edges the weights sum to zero, so with non-negative weights every
+edge of such a cycle weighs zero: when no tight edge weighs zero, the
+tight subgraph is acyclic and no sort runs at all.
 
 Witness cycles are reported as (vertices, edge_ids) where edge_ids[i] is the
 edge vertices[i] -> vertices[(i+1) % k].
@@ -81,21 +84,21 @@ def _pick_mode(g: ColoredDigraph) -> str:
 
 
 def _sssp_bfs(g: ColoredDigraph, source: int) -> DistanceTable:
-    w0 = int(g.weights[0]) if g.m else 0
-    for j in range(g.m):
-        if g.weights[j] != w0:
-            raise ValueError("bfs mode requires all weights equal")
+    _, heads, _, w = g.columns()
+    w0 = int(w[0]) if g.m else 0
+    if bool((w != w0).any()):
+        raise ValueError("bfs mode requires all weights equal")
     if w0 < 0:
         raise ValueError("bfs mode requires non-negative weights")
     out = g.out_edge_ids()
-    heads = g.heads
+    heads = heads.tolist()
     hops: list[int | None] = [None] * g.n
     hops[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
         for j in out[u]:
-            v = int(heads[j])
+            v = heads[j]
             if hops[v] is None:
                 hops[v] = hops[u] + 1
                 queue.append(v)
@@ -104,11 +107,12 @@ def _sssp_bfs(g: ColoredDigraph, source: int) -> DistanceTable:
 
 
 def _sssp_dijkstra(g: ColoredDigraph, source: int) -> DistanceTable:
-    for j in range(g.m):
-        if g.weights[j] < 0:
-            raise ValueError("dijkstra mode requires non-negative weights")
+    _, heads, _, weights = g.columns()
+    if bool((weights < 0).any()):
+        raise ValueError("dijkstra mode requires non-negative weights")
     out = g.out_edge_ids()
-    heads, weights = g.heads, g.weights
+    # Python ints, exact also when the column is an object array
+    heads, weights = heads.tolist(), weights.tolist()
     dist: list[int | None] = [None] * g.n
     done = [False] * g.n
     heap: list[tuple[int, int]] = [(0, source)]
@@ -119,8 +123,8 @@ def _sssp_dijkstra(g: ColoredDigraph, source: int) -> DistanceTable:
             continue
         done[u] = True
         for j in out[u]:
-            v = int(heads[j])
-            nd = d + int(weights[j])
+            v = heads[j]
+            nd = d + weights[j]
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
@@ -244,18 +248,27 @@ class SpgGraph:
 
     Stores the owning graph plus the ordinals of surviving edges, so edge
     ids seen by solvers always refer to the original edge sequence.
-    `topo_order` is a valid topological order of the subgraph.
+    `topo_order` is a valid topological order of the subgraph, the
+    canonical one of `_kahn`; it is computed on first read (no solver
+    needs it) unless the constructor was given one.
     """
 
-    __slots__ = ("graph", "root", "edge_ids", "topo_order", "_in_ids")
+    __slots__ = ("graph", "root", "edge_ids", "_topo_order", "_in_ids")
 
     def __init__(self, graph: ColoredDigraph, root: int,
-                 edge_ids: np.ndarray, topo_order: list[int]):
+                 edge_ids: np.ndarray, topo_order: list[int] | None = None):
         self.graph = graph
         self.root = root
         self.edge_ids = edge_ids
-        self.topo_order = topo_order
+        self._topo_order = topo_order
         self._in_ids = None
+
+    @property
+    def topo_order(self) -> list[int] | None:
+        if self._topo_order is None:
+            self._topo_order = _kahn(self.n, self.edge_ids, self.graph.tails,
+                                     self.graph.heads).topo_order
+        return self._topo_order
 
     @property
     def n(self) -> int:
@@ -321,19 +334,28 @@ class SpgGraph:
 
 
 def build_spg(g: ColoredDigraph, source: int, d: DistanceTable) -> SpgGraph:
-    """Keep exactly the tight edges and topologically sort them.
+    """Keep exactly the tight edges.
 
     Requires every vertex reachable from the source (UnreachableVertex
     otherwise). Raises NonPositiveCycle with a witness when the tight
-    subgraph is cyclic; the witness cycle always sums to weight zero.
+    subgraph is cyclic; the witness cycle always sums to weight zero and
+    is the one `_kahn` finds among all tight edges. With non-negative
+    weights and no zero-weight tight edge the subgraph is acyclic and is
+    not sorted.
     """
     if d.source != source:
         raise ValueError("distance table was computed for a different source")
-    for v in range(g.n):
-        if d.dist[v] is None:
-            raise UnreachableVertex(v)
+    dist = d.dist[:g.n]
+    if None in dist:
+        raise UnreachableVertex(dist.index(None))
+    if len(dist) < g.n:
+        # what reading the table vertex by vertex would raise
+        raise IndexError("list index out of range")
     via, at = _relaxations(g, d.dist)
     tight = np.flatnonzero(via == at)
+    w = g.columns()[3]
+    if g.m == 0 or (w.min() >= 0 and not (w[tight] == 0).any()):
+        return SpgGraph(g, source, tight)
     res = _kahn(g.n, tight, g.tails, g.heads)
     if not res.acyclic:
         raise NonPositiveCycle(res.cycle_vertices, res.cycle_edges)

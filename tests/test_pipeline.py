@@ -11,8 +11,9 @@ from ccgraph import (Arborescence, ColorConstraint, ColoredDigraph,
                      SptResult, UnreachableVertex, at_least_transform,
                      cc_arb_flow, cc_rb_arb, cc_spt, min_cc_arb_flow,
                      min_cc_rb_arb, min_cc_spt, verify_spt)
+from ccgraph import spg as spg_module
 from ccgraph.testkit import (brute_min_cc_arb, cc_arb_match,
-                             enumerate_spg_arborescences,
+                             enumerate_spg_arborescences, gen_layered_dag,
                              gen_random_positive_cycle_digraph)
 from ccgraph.spg import build_spg, sssp
 
@@ -423,3 +424,20 @@ def test_at_least_transform_mapped_counts_meet_lower_bounds():
             mapped[g.colors[e % g.m] - 1] += 1
         assert all(mapped[c] >= lower[c] for c in range(q)), i
     assert hits > 20
+
+
+def test_positive_weights_never_sort_the_tight_subgraph(monkeypatch):
+    # with positive weights no tight edge weighs zero, so the tight
+    # subgraph is acyclic without a topological sort
+    dag = gen_layered_dag(2000, 6000, 8, seed=7)
+    t, h, c, _ = dag.columns()
+    w = np.random.default_rng(7).integers(1, 4, dag.m)
+    g = ColoredDigraph.from_columns(dag.n, 8, t, h, c, w)
+
+    def no_sort(*args):
+        raise AssertionError("_kahn ran")
+    monkeypatch.setattr(spg_module, "_kahn", no_sort)
+    alpha = (dag.n - 1,) * 8
+    for solve in (cc_spt, min_cc_spt):
+        res = solve(g, 0, alpha)
+        assert res is not None and verify_spt(g, 0, res, alpha) == []

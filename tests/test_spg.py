@@ -1,10 +1,13 @@
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ccgraph import (ColoredDigraph, DistanceTable, NegativeCycleReachable,
                      NonPositiveCycle, NotAcyclic, SpgGraph,
                      UnreachableVertex, build_spg, is_acyclic, sssp)
+from ccgraph.spg import _kahn
 from ccgraph.testkit import gen_random_positive_cycle_digraph
 
 
@@ -207,3 +210,82 @@ def test_spg_in_degree_by_color(diamond_spg):
     pi = diamond_spg.in_degree_by_color()
     assert pi.count(3, 1) == 1 and pi.count(3, 2) == 1
     assert pi.count(1, 1) == 1 and pi.count(1, 2) == 0
+
+
+@st.composite
+def distance_cases(draw):
+    """A small graph with weights 0..3 or -3..5, often with a ring of
+    zero-weight edges, and a distance table for it: the one sssp computes
+    (Dijkstra's or Bellman-Ford's), or a bogus one, sometimes cut short or
+    padded past n."""
+    n = draw(st.integers(1, 7))
+    weight = draw(st.sampled_from([st.sampled_from([0, 0, 0, 1, 2, 3]),
+                                   st.integers(-3, 5)]))
+    edges = []
+    if draw(st.booleans()):
+        # an edge into each vertex from a lower one: all are reachable
+        edges = [(draw(st.integers(0, v - 1)), v, 1, draw(weight))
+                 for v in range(1, n)]
+    edges += draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                  st.integers(1, 2), weight)
+        .filter(lambda e: e[0] != e[1]), max_size=3 * n))
+    if n > 1 and draw(st.booleans()):
+        ring = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                             max_size=n, unique=True))
+        edges += [(u, ring[(i + 1) % len(ring)], 2, 0)
+                  for i, u in enumerate(ring)]
+    edges = draw(st.permutations(edges))
+    if draw(st.booleans()) or not edges:
+        g = ColoredDigraph(n, 2, edges)
+    else:
+        g = ColoredDigraph.from_columns(
+            n, 2, *(np.array(col, dtype=np.int64) for col in zip(*edges)))
+    dist = None
+    if draw(st.booleans()):
+        try:
+            dist = sssp(g, 0).dist
+        except NegativeCycleReachable:
+            pass
+    if dist is None:
+        dist = [0] + draw(st.lists(
+            st.sampled_from([*range(-1, 4), None]),
+            min_size=n - 1, max_size=n - 1))
+    resize = draw(st.sampled_from(["keep", "keep", "cut", "pad"]))
+    if resize == "cut":
+        dist = dist[:draw(st.integers(0, n - 1))]
+    elif resize == "pad":
+        dist = dist + draw(st.lists(st.sampled_from([0, 1, None]),
+                                    min_size=1, max_size=3))
+    return g, edges, dist
+
+
+@given(distance_cases())
+def test_build_spg_matches_a_sort_of_all_tight_edges(case):
+    g, edges, dist = case
+    d = DistanceTable(0, dist)
+    # the table is read vertex by vertex up to n, then as a whole
+    head = dist[:g.n]
+    if None in head:
+        with pytest.raises(UnreachableVertex) as info:
+            build_spg(g, 0, d)
+        assert info.value.vertex == head.index(None)
+        return
+    if len(dist) < g.n or None in dist:
+        with pytest.raises(IndexError if len(dist) < g.n else TypeError):
+            build_spg(g, 0, d)
+        return
+    tight = [j for j, (t, h, _, w) in enumerate(edges)
+             if dist[t] + w == dist[h]]
+    ref = _kahn(g.n, tight, g.tails, g.heads)
+    if not ref.acyclic:
+        with pytest.raises(NonPositiveCycle) as info:
+            build_spg(g, 0, d)
+        assert (info.value.vertices, info.value.edge_ids) == (
+            ref.cycle_vertices, ref.cycle_edges)
+        return
+    spg = build_spg(g, 0, d)
+    assert spg.edge_ids.tolist() == tight
+    assert spg.topo_order == ref.topo_order
+    pos = {v: i for i, v in enumerate(spg.topo_order)}
+    assert all(pos[edges[j][0]] < pos[edges[j][1]] for j in tight)
