@@ -212,7 +212,7 @@ def cc_sp_decide(inst: CcSpInstance, *,
     s, t = inst.source, inst.target
     alpha = inst.alpha
     n, q = g.n, g.q
-    dist = sssp(g, s, mode="bellman_ford")
+    dist = sssp(g, s)
     base = dist.dist[t]
     if base is None:
         return None

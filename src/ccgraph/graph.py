@@ -109,19 +109,15 @@ class ColoredDigraph:
     def in_edge_ids(self) -> list[list[int]]:
         """Per-vertex lists of incoming edge ordinals, ascending."""
         if self._in_ids is None:
-            ids: list[list[int]] = [[] for _ in range(self.n)]
-            for j in range(self.m):
-                ids[int(self.heads[j])].append(j)
-            self._in_ids = ids
+            self._in_ids = _ids_by_vertex(self.n, self.columns()[1],
+                                          np.arange(self.m))
         return self._in_ids
 
     def out_edge_ids(self) -> list[list[int]]:
         """Per-vertex lists of outgoing edge ordinals, ascending."""
         if self._out_ids is None:
-            ids: list[list[int]] = [[] for _ in range(self.n)]
-            for j in range(self.m):
-                ids[int(self.tails[j])].append(j)
-            self._out_ids = ids
+            self._out_ids = _ids_by_vertex(self.n, self.columns()[0],
+                                           np.arange(self.m))
         return self._out_ids
 
     def edge_tuples(self) -> list[tuple[int, int, int, int]]:
@@ -155,6 +151,15 @@ def _int_array(values) -> np.ndarray:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
         return np.array([int(v) for v in values], dtype=object)
+
+
+def _ids_by_vertex(n: int, keys: np.ndarray, ids: np.ndarray
+                   ) -> list[list[int]]:
+    """`ids` grouped into one list per vertex by `keys` (a vertex id in
+    0..n-1 for each id), in their given order within a vertex."""
+    flat = ids[np.argsort(keys, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
 
 
 def _magnitude(a: np.ndarray) -> int:

@@ -17,7 +17,6 @@ edge vertices[i] -> vertices[(i+1) % k].
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -30,7 +29,8 @@ from .errors import (
     UnreachableVertex,
 )
 from .graph import (INT64_MAX, ColoredDigraph, InDegreeByColor,
-                    _in_degree_matrix, _int_array, _magnitude)
+                    _ids_by_vertex, _in_degree_matrix, _int_array,
+                    _magnitude)
 
 UNREACHABLE = None
 
@@ -52,103 +52,193 @@ class DistanceTable:
 def sssp(g: ColoredDigraph, source: int, mode: str = "auto") -> DistanceTable:
     """Shortest-path distances from `source`.
 
-    mode: "auto" picks bfs for uniform non-negative weights, dijkstra for
-    non-negative weights, bellman_ford otherwise. Explicit "bfs" requires all
-    weights equal and non-negative; explicit "dijkstra" requires non-negative
-    weights. Raises NegativeCycleReachable from bellman_ford when a negative
-    cycle is reachable from the source.
+    mode: "auto" runs Bellman-Ford when some weight is negative and the
+    bucketed routine otherwise. "bfs" and "dijkstra" run the bucketed
+    routine after checking their precondition: "bfs" requires all weights
+    equal and non-negative, "dijkstra" requires non-negative weights
+    (ValueError otherwise). "bellman_ford" runs Bellman-Ford on any weights
+    and raises NegativeCycleReachable when a negative cycle is reachable
+    from the source.
+
+    Cost: the bucketed routine sorts the edges by tail once and then
+    relaxes the out-edges of a vertex about once per distance it settles
+    at, with numpy gathers over each bucket's frontier, or with a Python
+    loop when that frontier has few out-edges (a long chain takes the loop
+    in every bucket). Bellman-Ford is O(n m) in Python.
     """
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
     if mode == "auto":
         mode = _pick_mode(g)
-    if mode == "bfs":
-        return _sssp_bfs(g, source)
-    if mode == "dijkstra":
-        return _sssp_dijkstra(g, source)
     if mode == "bellman_ford":
         return _sssp_bellman_ford(g, source)
-    raise ValueError(f"unknown sssp mode {mode!r}")
+    w = g.columns()[3]
+    if mode == "bfs":
+        if g.m and bool((w != w[0]).any()):
+            raise ValueError("bfs mode requires all weights equal")
+    elif mode != "dijkstra":
+        raise ValueError(f"unknown sssp mode {mode!r}")
+    if g.m and int(w.min()) < 0:
+        raise ValueError(f"{mode} mode requires non-negative weights")
+    return DistanceTable(source, _delta_stepping(g, source))
 
 
 def _pick_mode(g: ColoredDigraph) -> str:
-    if g.m == 0:
-        return "bfs"
-    w = g.columns()[3]
-    lo, hi = int(w.min()), int(w.max())
-    if lo == hi and lo >= 0:
-        return "bfs"
-    if lo >= 0:
-        return "dijkstra"
-    return "bellman_ford"
+    if g.m and int(g.columns()[3].min()) < 0:
+        return "bellman_ford"
+    return "dijkstra"
 
 
-def _sssp_bfs(g: ColoredDigraph, source: int) -> DistanceTable:
-    _, heads, _, w = g.columns()
-    w0 = int(w[0]) if g.m else 0
-    if bool((w != w0).any()):
-        raise ValueError("bfs mode requires all weights equal")
-    if w0 < 0:
-        raise ValueError("bfs mode requires non-negative weights")
-    out = g.out_edge_ids()
-    heads = heads.tolist()
-    hops: list[int | None] = [None] * g.n
-    hops[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for j in out[u]:
-            v = heads[j]
-            if hops[v] is None:
-                hops[v] = hops[u] + 1
-                queue.append(v)
-    dist = [None if h is None else h * w0 for h in hops]
-    return DistanceTable(source, dist)
+# A frontier with fewer out-edges than this is relaxed by a Python loop:
+# below it, the fixed cost of a numpy round (some 40 calls) outweighs its
+# per-edge gain. A long chain has a one-edge frontier in every bucket; on
+# layered DAGs of 800 to 6400 vertices the two ways cost about the same
+# anywhere from 128 to 256 edges.
+_SCALAR_EDGES = 160
 
 
-def _sssp_dijkstra(g: ColoredDigraph, source: int) -> DistanceTable:
-    _, heads, _, weights = g.columns()
-    if bool((weights < 0).any()):
-        raise ValueError("dijkstra mode requires non-negative weights")
-    out = g.out_edge_ids()
-    # Python ints, exact also when the column is an object array
-    heads, weights = heads.tolist(), weights.tolist()
-    dist: list[int | None] = [None] * g.n
-    done = [False] * g.n
-    heap: list[tuple[int, int]] = [(0, source)]
+def _delta_stepping(g: ColoredDigraph, source: int) -> list[int | None]:
+    """Distances from `source` under non-negative weights; None if unreached.
+
+    Delta-stepping (Meyer & Sanders, J. Algorithms 49(1), 2003): bucket b
+    holds the vertices whose tentative distance lies in [b*delta,
+    (b+1)*delta), and buckets are settled in increasing order from a heap
+    of the non-empty ones. A bucket is relaxed in rounds until no vertex
+    in it improves, which also settles zero-weight edges and cycles. The
+    out-edges come from one sort of the tail column (CSR); each round
+    gathers them with numpy, or walks them in Python when there are fewer
+    than _SCALAR_EDGES.
+    """
+    n, m = g.n, g.m
+    tails, heads, _, weights = g.columns()
+    if m == 0:
+        dist: list[int | None] = [None] * n
+        dist[source] = 0
+        return dist
+    max_w = int(weights.max())
+    # above every simple-path distance, so it marks "not reached"; every
+    # tentative distance is a simple-path length, so sums stay below it
+    inf = n * max_w + 1
+    dtype = np.int64 if inf <= INT64_MAX else object
+    # the order of a vertex's out-edges does not change any distance, so
+    # the sort need not be stable (a stable one costs about 4x as much)
+    order = np.argsort(tails)
+    start = np.zeros(n + 1, dtype=np.int64)
+    out_deg = np.bincount(tails, minlength=n)
+    np.cumsum(out_deg, out=start[1:])
+    max_deg = int(out_deg.max())
+    head = heads[order]
+    wt = weights[order].astype(dtype)
+    delta = max(1, max_w * n // m)
+    dist = np.full(n, inf, dtype=dtype)
+    # distance at which each vertex last had its out-edges relaxed; a
+    # vertex needs relaxing exactly when its distance is below this
+    relaxed = np.full(n, inf, dtype=dtype)
     dist[source] = 0
+    # scalar views read and write Python ints
+    D, R, S, H, W = (a if a.dtype == object else memoryview(a)
+                     for a in (dist, relaxed, start, head, wt))
+    # bucket index -> vertices filed one by one, and arrays of vertices;
+    # a bucket is on the heap while it has an entry in either
+    loose_at: dict[int, list[int]] = {0: [source]}
+    packed_at: dict[int, list[np.ndarray]] = {}
+    heap = [0]
     while heap:
-        d, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        for j in out[u]:
-            v = heads[j]
-            nd = d + weights[j]
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return DistanceTable(source, dist)
+        b = heapq.heappop(heap)
+        loose = loose_at.pop(b, ())
+        packed = packed_at.pop(b, ())
+        while loose or packed:
+            # loose may hold repeats and vertices already relaxed at their
+            # distance, so its edge count is an upper bound; it is counted
+            # only when it could reach the cut
+            edges = 0
+            if not packed and len(loose) * max_deg >= _SCALAR_EDGES:
+                for v in loose:
+                    edges += S[v + 1] - S[v]
+            if packed or edges >= _SCALAR_EDGES:
+                f = np.concatenate([*packed, np.array(loose, dtype=np.int64)])
+                f = np.sort(f[dist[f] < relaxed[f]])
+                f = f[np.diff(f, prepend=-1) != 0]
+                deg = start[f + 1] - start[f]
+                edges = int(deg.sum())
+                if edges < _SCALAR_EDGES:
+                    loose = f.tolist()
+            packed = ()
+            if edges < _SCALAR_EDGES:
+                frontier, loose = loose, []
+                for u in frontier:
+                    du = D[u]
+                    if du >= R[u]:
+                        continue
+                    R[u] = du
+                    for j in range(S[u], S[u + 1]):
+                        v = H[j]
+                        nd = du + W[j]
+                        if nd < D[v]:
+                            D[v] = nd
+                            nb = nd // delta
+                            if nb == b:
+                                loose.append(v)
+                            elif nb in loose_at:
+                                loose_at[nb].append(v)
+                            else:
+                                loose_at[nb] = [v]
+                                if nb not in packed_at:
+                                    heapq.heappush(heap, nb)
+                continue
+            loose = ()
+            df = dist[f]
+            relaxed[f] = df
+            idx = np.arange(edges) + np.repeat(
+                start[f] - (np.cumsum(deg) - deg), deg)
+            v = head[idx]
+            nd = np.repeat(df, deg) + wt[idx]
+            better = nd < dist[v]
+            # v may repeat; the bucket's next round drops repeats
+            v = v[better]
+            np.minimum.at(dist, v, nd[better])
+            nb = dist[v] // delta
+            here = nb == b
+            if here.any():
+                packed = (v[here],)
+                v, nb = v[~here], nb[~here]
+            if len(v):
+                o = np.argsort(nb)
+                v, nb = v[o], nb[o]
+                cuts = np.flatnonzero(nb[1:] != nb[:-1]) + 1
+                for part, k in zip(np.split(v, cuts),
+                                   nb[np.r_[0, cuts]].tolist()):
+                    if k in packed_at:
+                        packed_at[k].append(part)
+                    else:
+                        packed_at[k] = [part]
+                        if k not in loose_at:
+                            heapq.heappush(heap, k)
+    out = dist.tolist()
+    for v in np.flatnonzero(dist == inf).tolist():
+        out[v] = None
+    return out
 
 
 def _sssp_bellman_ford(g: ColoredDigraph, source: int) -> DistanceTable:
     # n rounds of edge relaxation; an improvement in round n proves a
     # negative cycle reachable from the source (only reachable vertices
     # ever hold finite labels).
-    n, m = g.n, g.m
-    tails, heads, weights = g.tails, g.heads, g.weights
+    n = g.n
+    # Python ints, exact also when a column is an object array
+    t, h, _, w = g.columns()
+    tails, heads, weights = t.tolist(), h.tolist(), w.tolist()
     dist: list[int | None] = [None] * n
     pred_edge = [-1] * n
     dist[source] = 0
     last_improved = -1
     for _ in range(n):
         last_improved = -1
-        for j in range(m):
-            du = dist[int(tails[j])]
+        for j, t, v, w in zip(range(g.m), tails, heads, weights):
+            du = dist[t]
             if du is None:
                 continue
-            v = int(heads[j])
-            nd = du + int(weights[j])
+            nd = du + w
             if dist[v] is None or nd < dist[v]:
                 dist[v] = nd
                 pred_edge[v] = j
@@ -156,24 +246,25 @@ def _sssp_bellman_ford(g: ColoredDigraph, source: int) -> DistanceTable:
         if last_improved < 0:
             break
     if last_improved >= 0:
-        cyc_v, cyc_e = _pred_cycle(g, pred_edge, last_improved)
+        cyc_v, cyc_e = _pred_cycle(tails, pred_edge, last_improved)
         raise NegativeCycleReachable(cyc_v, cyc_e)
     return DistanceTable(source, dist)
 
 
-def _pred_cycle(g: ColoredDigraph, pred_edge: list[int], improved: int
+def _pred_cycle(tails: list[int], pred_edge: list[int], improved: int
                 ) -> tuple[list[int], list[int]]:
     # A vertex improved in round n has a provenance chain of >= n edges;
     # n predecessor hops land inside a cycle of the predecessor graph.
+    n = len(pred_edge)
     x = improved
-    for _ in range(g.n):
-        x = int(g.tails[pred_edge[x]])
+    for _ in range(n):
+        x = tails[pred_edge[x]]
     walk = [x]
-    u = int(g.tails[pred_edge[x]])
+    u = tails[pred_edge[x]]
     while u != x:
         walk.append(u)
-        u = int(g.tails[pred_edge[u]])
-        assert len(walk) <= g.n, "predecessor walk failed to close"
+        u = tails[pred_edge[u]]
+        assert len(walk) <= n, "predecessor walk failed to close"
     # walk is in reverse edge direction; re-orient and align edges so that
     # edge i goes vertices[i] -> vertices[i+1], wrapping at the end.
     verts = [walk[0]] + walk[1:][::-1]
@@ -311,12 +402,9 @@ class SpgGraph:
     def in_edge_ids(self) -> list[list[int]]:
         """Per-vertex incoming subgraph edge ordinals, ascending."""
         if self._in_ids is None:
-            ids: list[list[int]] = [[] for _ in range(self.n)]
-            heads = self.graph.heads
-            for j in self.edge_ids:
-                j = int(j)
-                ids[int(heads[j])].append(j)
-            self._in_ids = ids
+            ids = self.edge_ids
+            heads = self.graph.columns()[1]
+            self._in_ids = _ids_by_vertex(self.n, heads[ids], ids)
         return self._in_ids
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray,

@@ -5,8 +5,10 @@ from ccgraph import (BudgetStateOverflow, CcSpInstance, ColorConstraint,
                      ColoredDigraph, ReductionCertificate, VccSpInstance,
                      VertexColoredDigraph, cc_sp_decide, cc_to_vcc, sssp,
                      vcc_to_cc)
+from ccgraph import spg as spg_module
 from ccgraph.testkit import (brute_cc_sp_decide, brute_vcc_sp_decide,
-                             cc_sp_corpus, enumerate_st_paths, vcc_corpus)
+                             cc_sp_corpus, enumerate_st_paths,
+                             gen_random_positive_cycle_digraph, vcc_corpus)
 
 
 def check_cc_witness(inst, edges):
@@ -115,6 +117,19 @@ def test_decide_state_cap_parameter():
     with pytest.raises(BudgetStateOverflow):
         cc_sp_decide(inst, state_cap=2)
     assert cc_sp_decide(inst, state_cap=9) is not None
+
+
+def test_decide_on_positive_weights_skips_bellman_ford(monkeypatch):
+    insts = [CcSpInstance(gen_random_positive_cycle_digraph(
+        40, 3, 3 / 39, seed, (1, 4)), 0, 39, alpha)
+        for seed in range(4) for alpha in [(1, 0, 1), (0, 1, 1), (5, 5, 5)]]
+    want = [cc_sp_decide(inst) for inst in insts]
+    assert None in want and any(w is not None for w in want)
+
+    def no_bellman_ford(*args):
+        raise AssertionError("Bellman-Ford ran")
+    monkeypatch.setattr(spg_module, "_sssp_bellman_ford", no_bellman_ford)
+    assert [cc_sp_decide(inst) for inst in insts] == want
 
 
 def test_decide_matches_brute_on_corpus():

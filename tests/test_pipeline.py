@@ -441,3 +441,19 @@ def test_positive_weights_never_sort_the_tight_subgraph(monkeypatch):
     for solve in (cc_spt, min_cc_spt):
         res = solve(g, 0, alpha)
         assert res is not None and verify_spt(g, 0, res, alpha) == []
+
+
+def test_tree_answers_never_build_out_edge_lists(monkeypatch):
+    # sssp reads the edge columns, not per-vertex Python edge lists
+    dag = gen_layered_dag(2000, 6000, 8, seed=7)
+    t, h, c, _ = dag.columns()
+    w = np.random.default_rng(7).integers(1, 4, dag.m)
+    g = ColoredDigraph.from_columns(dag.n, 8, t, h, c, w)
+
+    def no_lists(self):
+        raise AssertionError("out_edge_ids ran")
+    monkeypatch.setattr(ColoredDigraph, "out_edge_ids", no_lists)
+    alpha = (dag.n - 1,) * 8
+    for solve in (cc_spt, min_cc_spt):
+        res = solve(g, 0, alpha)
+        assert res is not None and verify_spt(g, 0, res, alpha) == []

@@ -1,3 +1,4 @@
+import heapq
 from random import Random
 
 import numpy as np
@@ -7,8 +8,10 @@ from hypothesis import given, strategies as st
 from ccgraph import (ColoredDigraph, DistanceTable, NegativeCycleReachable,
                      NonPositiveCycle, NotAcyclic, SpgGraph,
                      UnreachableVertex, build_spg, is_acyclic, sssp)
+from ccgraph import spg as spg_module
+from ccgraph.graph import _int_array
 from ccgraph.spg import _kahn
-from ccgraph.testkit import gen_random_positive_cycle_digraph
+from ccgraph.testkit import gen_layered_dag, gen_random_positive_cycle_digraph
 
 
 def cycle_weight(g, edge_ids):
@@ -94,6 +97,102 @@ def test_dijkstra_rejects_negative_weights():
 def test_auto_uses_bellman_ford_for_negative_dag():
     g = ColoredDigraph(3, 1, [(0, 1, 1, -2), (1, 2, 1, -2), (0, 2, 1, 0)])
     assert sssp(g, 0).dist == [0, -2, -4]
+
+
+def dijkstra_reference(g, source):
+    """The heapq Dijkstra that `sssp` ran before its bucketed routine."""
+    _, heads, _, weights = g.columns()
+    if bool((weights < 0).any()):
+        raise ValueError("dijkstra mode requires non-negative weights")
+    out = g.out_edge_ids()
+    # Python ints, exact also when the column is an object array
+    heads, weights = heads.tolist(), weights.tolist()
+    dist = [None] * g.n
+    done = [False] * g.n
+    heap = [(0, source)]
+    dist[source] = 0
+    while heap:
+        d, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        for j in out[u]:
+            v = heads[j]
+            nd = d + weights[j]
+            if dist[v] is None or nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return DistanceTable(source, dist)
+
+
+NONNEG_WEIGHTS = {
+    # zero-weight edges, and so zero-weight cycles, come up often
+    "0..5": st.one_of(st.just(0), st.integers(0, 5)),
+    "1..10^6": st.integers(1, 10 ** 6),
+    "2^62": st.integers((1 << 62) - 3, 1 << 62),
+    "2^63+k": st.integers(1 << 63, (1 << 63) + 5),
+}
+
+
+@st.composite
+def nonneg_graphs(draw):
+    n = draw(st.integers(1, 8))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    ends = draw(st.lists(pair.filter(lambda p: p[0] != p[1]), max_size=20)
+                ) if n > 1 else []
+    m = len(ends)
+    kind = draw(st.sampled_from([*NONNEG_WEIGHTS, "uniform"]))
+    if kind == "uniform":
+        w0 = draw(st.sampled_from([0, 1, 7, 1 << 62, (1 << 63) + 1]))
+        weights = [w0] * m
+    else:
+        weights = draw(st.lists(NONNEG_WEIGHTS[kind], min_size=m,
+                                max_size=m))
+    cols = [[t for t, _ in ends], [h for _, h in ends], [1] * m, weights]
+    if draw(st.booleans()):
+        cols = [_int_array(c) for c in cols]
+    return (ColoredDigraph.from_columns(n, 1, *cols),
+            draw(st.integers(0, n - 1)))
+
+
+@pytest.mark.parametrize("cut", ["vector", "default", "scalar"])
+@given(case=nonneg_graphs())
+def test_sssp_matches_heapq_dijkstra(cut, case):
+    # the cut sends every frontier to the numpy round, leaves it as it is,
+    # or sends every frontier to the Python loop
+    g, source = case
+    ref = dijkstra_reference(g, source).dist
+    assert sssp(g, source, mode="bellman_ford").dist == ref
+    with pytest.MonkeyPatch.context() as mp:
+        if cut != "default":
+            mp.setattr(spg_module, "_SCALAR_EDGES",
+                       0 if cut == "vector" else g.m + 1)
+        assert sssp(g, source).dist == ref
+        assert sssp(g, source, mode="dijkstra").dist == ref
+        if len(set(g.columns()[3].tolist())) <= 1:
+            assert sssp(g, source, mode="bfs").dist == ref
+
+
+def test_sssp_switches_between_relaxations_on_one_graph():
+    # frontiers of these graphs fall on both sides of the cut in one run
+    dag = gen_layered_dag(3000, 9000, 4, seed=7)
+    t, h, c, _ = dag.columns()
+    rng = np.random.default_rng(7)
+    graphs = [ColoredDigraph.from_columns(dag.n, 4, t, h, c,
+                                          rng.integers(lo, hi + 1, dag.m))
+              for lo, hi in ((0, 2), (1, 10 ** 6))]
+    graphs.append(gen_random_positive_cycle_digraph(400, 2, 0.02, 7))
+    for g in graphs:
+        assert sssp(g, 0).dist == dijkstra_reference(g, 0).dist
+
+
+def test_sssp_on_a_long_chain_is_the_prefix_sum():
+    n = 5000
+    t = np.arange(n - 1, dtype=np.int64)
+    w = np.random.default_rng(7).integers(0, 4, n - 1)
+    g = ColoredDigraph.from_columns(n, 1, t, t + 1, np.ones(n - 1, np.int64),
+                                    w)
+    assert sssp(g, 0).dist == [0] + np.cumsum(w).tolist()
 
 
 def test_bad_source_rejected(diamond):
