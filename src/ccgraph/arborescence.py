@@ -337,12 +337,14 @@ def _check_arborescence(g: ColoredDigraph, root: int, tree: Arborescence,
                              "or for the root", vertex=v))
     edges = edges[inside]
     in_range = (edges >= 0) & (edges < m)
-    wrong = np.zeros(len(edges), dtype=bool)
-    wrong[in_range] = h[edges[in_range].astype(np.int64)] != vertices[in_range]
-    for i in np.flatnonzero(~in_range | wrong).tolist():
-        v, e = int(vertices[i]), int(edges[i])
+    entered = np.full(len(edges), -1, dtype=h.dtype)
+    entered[in_range] = h[edges[in_range].astype(np.int64)]
+    wrong = in_range & (entered != vertices)
+    bad = np.flatnonzero(~in_range | wrong)
+    for i, v, e, got in zip(bad.tolist(), vertices[bad].tolist(),
+                            edges[bad].tolist(), entered[bad].tolist()):
         if in_range[i]:
-            out.append(Violation("wrong_head", f"edge {e} enters {h[e]}, "
+            out.append(Violation("wrong_head", f"edge {e} enters {got}, "
                                  f"not {v}", vertex=v, edge=e))
         else:
             out.append(Violation("missing_edge",

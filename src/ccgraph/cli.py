@@ -68,28 +68,34 @@ def _alpha_str(alpha) -> str:
 
 def _reachable_from(g: ColoredDigraph, s: int) -> list[int]:
     out_ids = g.out_edge_ids()
+    heads = g.heads.tolist()
     seen = [False] * g.n
     seen[s] = True
     queue = deque([s])
     while queue:
         u = queue.popleft()
         for e in out_ids[u]:
-            h = g.heads[e]
+            h = heads[e]
             if not seen[h]:
                 seen[h] = True
                 queue.append(h)
     return [v for v in range(g.n) if seen[v]]
 
 
+def _edge_fields(g: ColoredDigraph, edges) -> list[tuple[int, int, int, int]]:
+    """(tail, head, color, weight) of each listed edge, as Python ints."""
+    return list(zip(*(col[edges].tolist() for col in g.columns())))
+
+
 def _tree_rows(g: ColoredDigraph, tree: Arborescence, back=None):
+    vertices = sorted(tree.parent_edge)
+    edges = [int(tree.parent_edge[v]) for v in vertices]
     rows = []
-    for v in sorted(tree.parent_edge):
-        e = tree.parent_edge[v]
-        parent = g.tails[e]
-        ov = back[v] if back else v
-        op = back[parent] if back else parent
-        rows.append({"vertex": int(ov), "parent": int(op), "edge": int(e),
-                     "color": int(g.colors[e]), "weight": int(g.weights[e])})
+    for v, e, (parent, _, color, weight) in zip(
+            vertices, edges, _edge_fields(g, edges)):
+        rows.append({"vertex": int(back[v] if back else v),
+                     "parent": back[parent] if back else parent,
+                     "edge": e, "color": color, "weight": weight})
     return rows
 
 
@@ -189,15 +195,15 @@ def _cmd_cc_sp(args, out, err) -> int:
     path = cc_sp_decide(inst)
     if path is None:
         return _emit_no(args, out, "cc-sp")
-    total = sum(int(g.weights[e]) for e in path)
+    fields = _edge_fields(g, path)
+    total = sum(w for _, _, _, w in fields)
     if args.json:
         out.write(json.dumps({"command": "cc-sp", "feasible": True,
                               "path": [int(e) for e in path],
                               "total_weight": total}) + "\n")
     else:
-        for e in path:
-            out.write(f"e {e} {g.tails[e]} {g.heads[e]} {g.colors[e]} "
-                      f"{g.weights[e]}\n")
+        for e, (tail, head, color, weight) in zip(path, fields):
+            out.write(f"e {e} {tail} {head} {color} {weight}\n")
         out.write(f"s summary yes {total}\n")
     return 0
 
@@ -238,14 +244,17 @@ def _cmd_transform(args, out, err) -> int:
 
 
 def _cmd_gen(args, out, err) -> int:
-    if args.kind == "dag":
-        g = gen_random_dag(args.n, args.q, args.density, args.seed,
-                           _parse_weight_range(args.weights))
-        comments = (f"seed {args.seed}",)
-    elif args.kind == "poscycle":
-        g = gen_random_positive_cycle_digraph(
-            args.n, args.q, args.density, args.seed,
-            _parse_weight_range(args.weights))
+    if args.n < 1:
+        raise ValueError(f"-n must be at least 1, got {args.n}")
+    if args.kind in ("dag", "poscycle"):
+        if args.q < 1:
+            raise ValueError(f"-q must be at least 1, got {args.q}")
+        lo, hi = _parse_weight_range(args.weights)
+        if lo > hi:
+            raise ValueError(f"--weights needs lo <= hi, got {lo},{hi}")
+        gen = (gen_random_dag if args.kind == "dag"
+               else gen_random_positive_cycle_digraph)
+        g = gen(args.n, args.q, args.density, args.seed, (lo, hi))
         comments = (f"seed {args.seed}",)
     else:
         base = gen_random_digraph(args.n, args.density, args.seed)
@@ -258,10 +267,12 @@ def _cmd_gen(args, out, err) -> int:
 
 def _parse_tree_file(text: str, g: ColoredDigraph, root: int
                      ) -> tuple[Arborescence | None, str | None]:
+    """The stated tree, or None and the first problem as "kind: message"."""
     parent: dict[int, int] = {}
     stated_total = None
     stated_counts = None
     in_ids = g.in_edge_ids()
+    tails, _, colors, weights = (col.tolist() for col in g.columns())
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -269,19 +280,22 @@ def _parse_tree_file(text: str, g: ColoredDigraph, root: int
         parts = line.split()
         if parts[0] == "t":
             if len(parts) != 5:
-                return None, f"bad tree line {line!r}"
+                return None, f"missing_edge: bad tree line {line!r}"
             v, p, color, weight = (int(x) for x in parts[1:])
             if not (0 <= v < g.n):
-                return None, f"vertex {v} out of range"
+                return None, f"missing_edge: vertex {v} out of range"
+            if v in parent:
+                return None, (f"duplicate_vertex: vertex {v} has more than "
+                              "one tree line")
             found = -1
             for e in in_ids[v]:
-                if (g.tails[e] == p and g.colors[e] == color
-                        and g.weights[e] == weight):
+                if (tails[e] == p and colors[e] == color
+                        and weights[e] == weight):
                     found = e
                     break
             if found < 0:
-                return None, (f"no edge {p}->{v} with color {color} "
-                              f"and weight {weight}")
+                return None, (f"missing_edge: no edge {p}->{v} with color "
+                              f"{color} and weight {weight}")
             parent[v] = found
         elif parts[0] == "s" and len(parts) >= 4 and parts[2] == "yes":
             stated_total = int(parts[3])
@@ -290,9 +304,9 @@ def _parse_tree_file(text: str, g: ColoredDigraph, root: int
         counts = [0] * g.q
         total = 0
         for e in parent.values():
-            counts[g.colors[e] - 1] += 1
-            total += g.weights[e]
-        stated_total = int(total)
+            counts[colors[e] - 1] += 1
+            total += weights[e]
+        stated_total = total
         stated_counts = tuple(counts)
     return Arborescence(root=root, parent_edge=parent,
                         color_counts=stated_counts,
@@ -305,7 +319,7 @@ def _cmd_verify(args, out, err) -> int:
     alpha = _parse_alpha(args.alpha)
     tree, problem = _parse_tree_file(_read_file(args.tree), g, root)
     if tree is None:
-        out.write(f"violation: missing_edge: {problem}\n")
+        out.write(f"violation: {problem}\n")
         return 1
     if args.mode == "arb":
         bad = verify_arborescence(g, root, tree, alpha)

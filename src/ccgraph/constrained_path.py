@@ -174,11 +174,9 @@ def cc_to_vcc(inst: CcSpInstance
     for e in range(m):
         if tails[e] == inst.source:
             image_edges.append((start, e, weights[e]))
-    by_tail: dict[int, list[int]] = {}
-    for f in range(m):
-        by_tail.setdefault(tails[f], []).append(f)
+    out_ids = g.out_edge_ids()
     for e in range(m):
-        for f in by_tail.get(heads[e], ()):
+        for f in out_ids[heads[e]]:
             image_edges.append((e, f, weights[e] + weights[f]))
     for e in range(m):
         if heads[e] == inst.target:
@@ -262,13 +260,14 @@ def cc_sp_decide(inst: CcSpInstance, *,
         guard -= 1
         assert guard >= 0, "predecessor chain too long"
     edges.reverse()
-    return _strip_cycles(g, s, edges)
+    return _strip_cycles(heads, weights, s, edges)
 
 
-def _strip_cycles(g: ColoredDigraph, s: int, edges: list[int]) -> list[int]:
+def _strip_cycles(heads: list[int], weights: list[int], s: int,
+                  edges: list[int]) -> list[int]:
     """Remove repeated-vertex loops from a walk; they all weigh zero here."""
     while True:
-        verts = [s] + [g.heads[e] for e in edges]
+        verts = [s] + [heads[e] for e in edges]
         seen: dict[int, int] = {}
         cut = None
         for i, v in enumerate(verts):
@@ -280,5 +279,5 @@ def _strip_cycles(g: ColoredDigraph, s: int, edges: list[int]) -> list[int]:
             return edges
         i, j = cut
         removed = edges[i:j]
-        assert sum(g.weights[e] for e in removed) == 0
+        assert sum(weights[e] for e in removed) == 0
         edges = edges[:i] + edges[j:]

@@ -36,15 +36,17 @@ class EdgeRecord:
 class ColoredDigraph:
     """Immutable edge-colored digraph backed by parallel edge columns.
 
-    The columns are plain lists for ordinary use; bulk generators may supply
-    numpy int64 arrays instead. Either way the code reads them through
-    `columns()`, so there is one code path whatever the storage. Adjacency
-    indexes are built lazily and cached, which is safe because instances
-    never change after construction.
+    The columns `tails`, `heads`, `colors` and `weights` are stored once,
+    as exact integer arrays: int64 when every value of the column fits,
+    else an object array of Python ints (see `_int_array`). So a
+    per-element read such as `g.weights[e]` gives a numpy integer, or a
+    Python int in an object column; a Python loop over edges should read
+    `.tolist()` once. Adjacency indexes are built lazily and cached, which
+    is safe because instances never change after construction.
     """
 
     __slots__ = ("n", "q", "tails", "heads", "colors", "weights",
-                 "_in_ids", "_out_ids", "_cols")
+                 "_in_ids", "_out_ids")
 
     def __init__(self, n: int, q: int,
                  edges: Iterable[tuple[int, int, int, int] | EdgeRecord] = ()):
@@ -52,35 +54,27 @@ class ColoredDigraph:
             raise ValueError("n and q must be non-negative")
         self.n = n
         self.q = q
-        tails: list[int] = []
-        heads: list[int] = []
-        colors: list[int] = []
-        weights: list[int] = []
+        rows = []
         for e in edges:
             if isinstance(e, EdgeRecord):
-                t, h, c, w = e.tail, e.head, e.color, e.weight
-            else:
-                t, h, c, w = e
-            tails.append(t)
-            heads.append(h)
-            colors.append(c)
-            weights.append(w)
-        self.tails = tails
-        self.heads = heads
-        self.colors = colors
-        self.weights = weights
+                e = (e.tail, e.head, e.color, e.weight)
+            t, h, c, w = e
+            rows.append((t, h, c, w))
+        self.tails, self.heads, self.colors, self.weights = map(
+            _int_array, zip(*rows) if rows else ((),) * 4)
         self._in_ids = None
         self._out_ids = None
-        self._cols = None
 
     @classmethod
     def from_columns(cls, n: int, q: int, tails, heads, colors, weights
                      ) -> "ColoredDigraph":
-        """Adopt prebuilt edge columns (lists or numpy int64 arrays) as is."""
+        """Build a graph from edge columns (lists or arrays), converting
+        each once to its exact array form; int64 arrays are not copied."""
         g = cls(n, q)
         if not (len(tails) == len(heads) == len(colors) == len(weights)):
             raise ValueError("edge columns must have equal length")
-        g.tails, g.heads, g.colors, g.weights = tails, heads, colors, weights
+        g.tails, g.heads, g.colors, g.weights = map(
+            _int_array, (tails, heads, colors, weights))
         return g
 
     @property
@@ -92,19 +86,11 @@ class ColoredDigraph:
                           int(self.colors[j]), int(self.weights[j]), j)
 
     def edges(self) -> Iterator[EdgeRecord]:
-        for j in range(self.m):
-            yield self.edge(j)
+        return (EdgeRecord(*e, j) for j, e in enumerate(self.edge_tuples()))
 
     def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Edge columns as arrays (cached; no copy if already int64 arrays).
-
-        Each column is int64 when its values fit, else an object array of
-        Python ints (see `_int_array`).
-        """
-        if self._cols is None:
-            self._cols = (_int_array(self.tails), _int_array(self.heads),
-                          _int_array(self.colors), _int_array(self.weights))
-        return self._cols
+        """The stored edge columns (tails, heads, colors, weights)."""
+        return self.tails, self.heads, self.colors, self.weights
 
     def in_edge_ids(self) -> list[list[int]]:
         """Per-vertex lists of incoming edge ordinals, ascending."""
@@ -121,9 +107,7 @@ class ColoredDigraph:
         return self._out_ids
 
     def edge_tuples(self) -> list[tuple[int, int, int, int]]:
-        return [(int(self.tails[j]), int(self.heads[j]),
-                 int(self.colors[j]), int(self.weights[j]))
-                for j in range(self.m)]
+        return list(zip(*(col.tolist() for col in self.columns())))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ColoredDigraph):
@@ -173,8 +157,6 @@ def validate(g: ColoredDigraph) -> ValidationError | None:
     Per-edge check order is fixed: endpoint range, self-loop, color range.
     """
     n, q = g.n, g.q
-    if g.m == 0:
-        return None
     t, h, c, _ = g.columns()
     bad_v = (t < 0) | (t >= n) | (h < 0) | (h >= n)
     loops = (t == h) & ~bad_v
@@ -294,11 +276,9 @@ def restrict_to(g: ColoredDigraph, vertices: Iterable[int]
     for v in keep:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range")
-    new_id = {old: new for new, old in enumerate(keep)}
-    edges = []
-    for j in range(g.m):
-        t, h = int(g.tails[j]), int(g.heads[j])
-        if t in new_id and h in new_id:
-            edges.append((new_id[t], new_id[h],
-                          int(g.colors[j]), int(g.weights[j])))
-    return ColoredDigraph(len(keep), g.q, edges), keep
+    ids = np.array(keep, dtype=np.int64)
+    t, h, c, w = g.columns()
+    inside = np.isin(t, ids) & np.isin(h, ids)
+    return ColoredDigraph.from_columns(
+        len(keep), g.q, np.searchsorted(ids, t[inside]),
+        np.searchsorted(ids, h[inside]), c[inside], w[inside]), keep

@@ -231,9 +231,8 @@ def format_instance(g: ColoredDigraph, *, names: dict[str, int] | None = None,
     if names:
         for name, vid in sorted(names.items(), key=lambda kv: kv[1]):
             lines.append(f"n {vid} {name}")
-    tails, heads, colors, weights = g.columns()
-    for j in range(g.m):
-        lines.append(f"a {tails[j]} {heads[j]} {colors[j]} {weights[j]}")
+    for t, h, c, w in g.edge_tuples():
+        lines.append(f"a {t} {h} {c} {w}")
     return "\n".join(lines) + "\n"
 
 

@@ -105,14 +105,15 @@ def verify_spt(g: ColoredDigraph, source: int, spt, alpha
         return out
     via, at = _relaxations(g, d)
     t, h, _, _ = g.columns()
-    first: dict[int, int] = {}
-    for e in np.flatnonzero(via < at).tolist():
-        first.setdefault(int(h[e]), e)
-    for v in sorted(first):
-        e = first[v]
+    bad = np.flatnonzero(via < at)
+    # the lowest violating in-edge of each vertex, in ascending vertex order
+    heads, first = np.unique(h[bad], return_index=True)
+    bad = bad[first]
+    for v, e, u, relaxed in zip(heads.tolist(), bad.tolist(),
+                                t[bad].tolist(), via[bad].tolist()):
         out.append(Violation("not_shortest",
                              f"tree path to {v} weighs {d[v]}, edge {e} "
-                             f"from {int(t[e])} gives {via[e]}",
+                             f"from {u} gives {relaxed}",
                              vertex=v, edge=e))
     if claimed is not None:
         # indexed vertex by vertex, so a short table raises IndexError
@@ -142,12 +143,9 @@ def at_least_transform(g: ColoredDigraph, lower
         raise LowerBoundTooLarge(
             f"lower bounds sum to {lower.total()} but a spanning "
             f"arborescence has only {need} edges")
-    tails, heads, colors, weights = g.columns()
-    new_tails = tails.tolist() + tails.tolist()
-    new_heads = heads.tolist() + heads.tolist()
-    new_colors = colors.tolist() + [g.q + 1] * g.m
-    new_weights = weights.tolist() + weights.tolist()
-    padded = ColoredDigraph.from_columns(g.n, g.q + 1, new_tails, new_heads,
-                                         new_colors, new_weights)
+    t, h, c, w = g.columns()
+    padded = ColoredDigraph.from_columns(
+        g.n, g.q + 1, np.tile(t, 2), np.tile(h, 2),
+        np.concatenate([c, np.full(g.m, g.q + 1)]), np.tile(w, 2))
     upper = ColorConstraint((*lower, need - lower.total()))
     return padded, upper

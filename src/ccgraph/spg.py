@@ -284,14 +284,13 @@ def _kahn(n: int, edge_ids, tails, heads) -> AcyclicityResult:
 
     Ties are broken by ascending vertex id so the order is canonical. On
     failure, returns a directed cycle found by walking predecessors inside
-    the unprocessed set.
+    the unprocessed set. Callers pass the edge ids and columns as lists.
     """
     indeg = [0] * n
     out: list[list[int]] = [[] for _ in range(n)]
     in_by_head: list[list[int]] = [[] for _ in range(n)]
     for j in edge_ids:
-        j = int(j)
-        t, h = int(tails[j]), int(heads[j])
+        t, h = tails[j], heads[j]
         indeg[h] += 1
         out[t].append(h)
         in_by_head[h].append(j)
@@ -318,9 +317,9 @@ def _kahn(n: int, edge_ids, tails, heads) -> AcyclicityResult:
         pos[v] = len(trail)
         trail.append(v)
         for j in in_by_head[v]:
-            if int(tails[j]) in remaining:
+            if tails[j] in remaining:
                 trail_edges.append(j)
-                v = int(tails[j])
+                v = tails[j]
                 break
     k = pos[v]
     # trail[k:] walks predecessors from v back to v; flip to edge direction
@@ -331,7 +330,7 @@ def _kahn(n: int, edge_ids, tails, heads) -> AcyclicityResult:
 
 def is_acyclic(g: ColoredDigraph) -> AcyclicityResult:
     """Test acyclicity; gives a topological order or a witness cycle."""
-    return _kahn(g.n, range(g.m), g.tails, g.heads)
+    return _kahn(g.n, range(g.m), g.tails.tolist(), g.heads.tolist())
 
 
 class SpgGraph:
@@ -357,8 +356,9 @@ class SpgGraph:
     @property
     def topo_order(self) -> list[int] | None:
         if self._topo_order is None:
-            self._topo_order = _kahn(self.n, self.edge_ids, self.graph.tails,
-                                     self.graph.heads).topo_order
+            self._topo_order = _kahn(
+                self.n, self.edge_ids.tolist(), self.graph.tails.tolist(),
+                self.graph.heads.tolist()).topo_order
         return self._topo_order
 
     @property
@@ -444,7 +444,7 @@ def build_spg(g: ColoredDigraph, source: int, d: DistanceTable) -> SpgGraph:
     w = g.columns()[3]
     if g.m == 0 or (w.min() >= 0 and not (w[tight] == 0).any()):
         return SpgGraph(g, source, tight)
-    res = _kahn(g.n, tight, g.tails, g.heads)
+    res = _kahn(g.n, tight.tolist(), g.tails.tolist(), g.heads.tolist())
     if not res.acyclic:
         raise NonPositiveCycle(res.cycle_vertices, res.cycle_edges)
     return SpgGraph(g, source, tight, res.topo_order)

@@ -34,13 +34,13 @@ class Digraph(NamedTuple):
     edges: tuple[tuple[int, int], ...]
 
 
-def _arb_from_choice(g: ColoredDigraph, root: int,
-                     choice: dict[int, int]) -> Arborescence:
-    counts = [0] * g.q
+def _arb_from_choice(q: int, colors: list[int], weights: list[int],
+                     root: int, choice: dict[int, int]) -> Arborescence:
+    counts = [0] * q
     total = 0
     for e in choice.values():
-        counts[g.colors[e] - 1] += 1
-        total += int(g.weights[e])
+        counts[colors[e] - 1] += 1
+        total += weights[e]
     return Arborescence(root=root, parent_edge=dict(choice),
                         color_counts=tuple(counts), total_weight=total)
 
@@ -143,10 +143,11 @@ def cc_arb_match(spg: SpgGraph, alpha) -> Arborescence | None:
     alpha = ColorConstraint.of(alpha)
     alpha.require_length(spg.q)
     rights = [v for v in range(spg.n) if v != spg.root]
+    colors, weights = spg.graph.colors.tolist(), spg.graph.weights.tolist()
     first: dict[int, dict[int, int]] = {v: {} for v in rights}
     for v in rights:
         for e in spg.in_edge_ids()[v]:
-            first[v].setdefault(int(spg.graph.colors[e]), e)
+            first[v].setdefault(colors[e], e)
     has_color = {i: [j for j, v in enumerate(rights) if i in first[v]]
                  for i in range(1, spg.q + 1)}
     caps = alpha.clamped(len(rights))
@@ -155,7 +156,7 @@ def cc_arb_match(spg: SpgGraph, alpha) -> Arborescence | None:
     matching = hopcroft_karp(BipartiteGraph(lefts, rights, adj))
     if len(matching) < len(rights):
         return None
-    return _arb_from_choice(spg.graph, spg.root,
+    return _arb_from_choice(spg.q, colors, weights, spg.root,
                             {v: first[v][i] for v, (i, _) in matching.items()})
 
 
@@ -179,11 +180,13 @@ def enumerate_spg_arborescences(spg: SpgGraph, cap: int = 10 ** 6
                 f"more than {cap} arborescences to enumerate")
     if count == 0:
         return
+    colors, weights = spg.graph.colors.tolist(), spg.graph.weights.tolist()
     for combo in itertools.product(*(in_ids[v] for v in vertices)):
-        yield _arb_from_choice(spg.graph, root, dict(zip(vertices, combo)))
+        yield _arb_from_choice(spg.q, colors, weights, root,
+                               dict(zip(vertices, combo)))
 
 
-def _choice_is_arborescence(g: ColoredDigraph, root: int,
+def _choice_is_arborescence(tails: list[int], root: int,
                             choice: dict[int, int]) -> bool:
     # every vertex must walk up its parents to the root without looping
     ok = {root}
@@ -196,7 +199,7 @@ def _choice_is_arborescence(g: ColoredDigraph, root: int,
                 return False
             on_trail.add(v)
             trail.append(v)
-            v = g.tails[choice[v]]
+            v = tails[choice[v]]
         ok.update(trail)
     return True
 
@@ -224,11 +227,12 @@ def brute_cc_arb_general(g: ColoredDigraph, root: int, alpha,
                 f"more than {cap} in-edge choices to enumerate")
     if count == 0:
         return None
+    tails, _, colors, weights = (col.tolist() for col in g.columns())
     for combo in itertools.product(*(in_ids[v] for v in vertices)):
         counts = [0] * g.q
         good = True
         for e in combo:
-            c = g.colors[e] - 1
+            c = colors[e] - 1
             counts[c] += 1
             if counts[c] > alpha[c]:
                 good = False
@@ -236,8 +240,8 @@ def brute_cc_arb_general(g: ColoredDigraph, root: int, alpha,
         if not good:
             continue
         choice = dict(zip(vertices, combo))
-        if _choice_is_arborescence(g, root, choice):
-            return _arb_from_choice(g, root, choice)
+        if _choice_is_arborescence(tails, root, choice):
+            return _arb_from_choice(g.q, colors, weights, root, choice)
     return None
 
 
@@ -267,12 +271,13 @@ def enumerate_st_paths(g: ColoredDigraph, s: int, t: int
         yield []
         return
     out_ids = g.out_edge_ids()
+    heads = g.heads.tolist()
     path: list[int] = []
     on_path = {s}
 
     def walk(v: int) -> Iterator[list[int]]:
         for e in out_ids[v]:
-            h = g.heads[e]
+            h = heads[e]
             if h in on_path:
                 continue
             path.append(e)
@@ -299,14 +304,15 @@ def brute_cc_sp_decide(inst: CcSpInstance) -> list[int] | None:
     paths = list(enumerate_st_paths(g, inst.source, inst.target))
     if not paths:
         return None
-    weights = [sum(g.weights[e] for e in p) for p in paths]
-    dist = min(weights)
-    for p, w in zip(paths, weights):
+    colors, weights = g.colors.tolist(), g.weights.tolist()
+    lengths = [sum(weights[e] for e in p) for p in paths]
+    dist = min(lengths)
+    for p, w in zip(paths, lengths):
         if w != dist:
             continue
         counts = [0] * g.q
         for e in p:
-            counts[g.colors[e] - 1] += 1
+            counts[colors[e] - 1] += 1
         if all(counts[i] <= inst.alpha[i] for i in range(g.q)):
             return p
     return None
@@ -518,11 +524,9 @@ def gen_layered_dag(n: int, m: int, q: int, seed: int,
         et = lo[ep] + (rng.integers(0, 1 << 62, extra) % espan)
         tails = np.concatenate([tails, et])
         heads = np.concatenate([heads, eh])
-    colors = rng.integers(1, q + 1, len(tails)).astype(np.int64)
-    weights = np.ones(len(tails), dtype=np.int64)
-    return ColoredDigraph.from_columns(n, q, tails.astype(np.int64),
-                                       heads.astype(np.int64), colors,
-                                       weights)
+    colors = rng.integers(1, q + 1, len(tails))
+    return ColoredDigraph.from_columns(n, q, tails, heads, colors,
+                                       np.ones(len(tails), dtype=np.int64))
 
 
 def _sub_seed(seed: int, index: int) -> int:

@@ -296,6 +296,21 @@ def test_gen_outputs_parse(tmp_path):
         assert "# seed 5" in out
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["dag", "-n", "0"], "-n"),
+    (["poscycle", "-n", "-2"], "-n"),
+    (["hamiltonian", "-n", "0"], "-n"),
+    (["dag", "-n", "3", "-q", "0"], "-q"),
+    (["poscycle", "-n", "3", "-q", "0"], "-q"),
+    (["dag", "-n", "3", "--weights", "5,1"], "--weights"),
+    (["poscycle", "-n", "3", "--weights", "3,2"], "--weights"),
+])
+def test_gen_rejects_bad_arguments(argv, option):
+    code, out, err = cli("gen", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} ")
+
+
 def test_gen_hamiltonian_carries_budgets():
     code, out, _ = cli("gen", "hamiltonian", "-n", "4", "--seed", "3")
     assert code == 0
@@ -328,6 +343,20 @@ def test_verify_command_flags_missing_tree_edge(tmp_path, diamond_file):
     code, out, _ = cli("verify", "arb", "-s", "0", "-a", "2,1",
                        "--tree", str(tree_file), diamond_file)
     assert code == 1 and "violation: missing_edge" in out
+
+
+def test_verify_command_flags_a_vertex_listed_twice(tmp_path):
+    # three tree lines for two vertices: vertex 2 is given two parents
+    p = tmp_path / "tri.ccg"
+    p.write_text("p ccg 3 3 2\na 0 1 1 1\na 0 2 2 1\na 1 2 1 5\n")
+    tree_file = tmp_path / "tree.txt"
+    tree_file.write_text("t 1 0 1 1\nt 2 1 1 5\nt 2 0 2 1\n")
+    for mode in ("arb", "spt"):
+        code, out, _ = cli("verify", mode, "-s", "0", "-a", "1,1",
+                           "--tree", str(tree_file), str(p))
+        assert code == 1
+        assert out == ("violation: duplicate_vertex: vertex 2 has more "
+                       "than one tree line\n")
 
 
 def test_verify_spt_command_flags_negative_cycle(tmp_path):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from ccgraph import (ColorConstraint, ColoredDigraph, ConstraintLengthMismatch,
-                     EdgeRecord, in_degree_by_color, restrict_to, validate)
-from ccgraph.graph import BAD_COLOR_ID, BAD_VERTEX_ID, SELF_LOOP
+from ccgraph import (CCGraphError, CcSpInstance, ColorConstraint,
+                     ColoredDigraph, ConstraintLengthMismatch, EdgeRecord,
+                     cc_sp_decide, cc_spt, in_degree_by_color, min_cc_spt,
+                     restrict_to, validate)
+from ccgraph.graph import BAD_COLOR_ID, BAD_VERTEX_ID, INT64_MAX, SELF_LOOP
+from ccgraph.testkit import brute_cc_sp_decide
 
 
 def test_minimal_valid_graph():
@@ -188,3 +192,65 @@ def test_restrict_matches_brute_filter():
         expected = [(old_pos[t], old_pos[h], c, w) for t, h, c, w in edges
                     if t in old_pos and h in old_pos]
         assert list(sub.edge_tuples()) == expected
+
+
+WEIGHTS = st.one_of(st.integers(0, 5), st.integers(-5, -1),
+                    st.sampled_from([1 << 62, -(1 << 62)]),
+                    st.integers(0, 3).map(lambda k: (1 << 63) + k))
+
+
+@st.composite
+def graph_cases(draw):
+    n, q = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(
+        st.tuples(vertex, vertex, st.integers(1, q), WEIGHTS).filter(
+            lambda e: e[0] != e[1]), max_size=8))
+    alpha = tuple(draw(st.lists(st.integers(0, n), min_size=q, max_size=q)))
+    keep = draw(st.lists(vertex, unique=True))
+    return n, q, edges, alpha, draw(vertex), keep
+
+
+def four_ways(n, q, edges):
+    """The same edges from tuples, lists, int64 arrays (object where a
+    column has a value past int64) and object arrays."""
+    cols = [list(c) for c in zip(*edges)] or [[], [], [], []]
+    int64 = [np.array(c, dtype=np.int64 if all(abs(v) <= INT64_MAX for v in c)
+                      else object) for c in cols]
+    return [ColoredDigraph(n, q, edges),
+            ColoredDigraph.from_columns(n, q, *cols),
+            ColoredDigraph.from_columns(n, q, *int64),
+            ColoredDigraph.from_columns(
+                n, q, *(np.array(c, dtype=object) for c in cols))]
+
+
+def outcome(solve):
+    try:
+        res = solve()
+    except CCGraphError as exc:
+        return type(exc).__name__, str(exc)
+    if res is None or isinstance(res, list):
+        return res
+    t = res.tree
+    return (t.parent_edge, t.color_counts, t.total_weight,
+            res.distances.dist, res.spg_edge_count, res.solver_used)
+
+
+@given(graph_cases())
+@example((4, 2, [(0, 1, 1, 1 << 62), (1, 2, 2, 1 << 62), (2, 3, 1, 1)],
+          (2, 1), 3, [0, 1, 2, 3]))
+def test_answers_do_not_depend_on_storage(case):
+    n, q, edges, alpha, target, keep = case
+    seen = []
+    for g in four_ways(n, q, edges):
+        sub, back = restrict_to(g, keep)
+        inst = CcSpInstance(g, 0, target, alpha)
+        seen.append((
+            [(c.dtype, c.tolist()) for c in g.columns()], g.edge_tuples(),
+            [c.dtype for c in sub.columns()], sub.edge_tuples(), back,
+            outcome(lambda: cc_spt(g, 0, alpha)),
+            outcome(lambda: min_cc_spt(g, 0, alpha)),
+            outcome(lambda: cc_sp_decide(inst)),
+            outcome(lambda: brute_cc_sp_decide(inst))))
+    assert all(s == seen[0] for s in seen[1:])
+    assert seen[0][1] == [tuple(e) for e in edges]
