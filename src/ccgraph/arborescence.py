@@ -212,14 +212,20 @@ def min_cc_arb_flow_stats(spg: SpgGraph, alpha
     if _ruled_out(spg, alpha):
         return None, None
     choice = _choice(spg, True)
-    w = spg.graph.columns()[3]
-    # the weight column's dtype: object when int64 cannot hold a weight,
-    # so arc costs reach the flow as exact Python ints
-    cost_matrix = np.zeros(choice.shape, dtype=w.dtype)
     have = choice >= 0
-    cost_matrix[have] = w[choice[have]]
+    costs = spg.graph.columns()[3][choice[have]]
+    # every augmenting path crosses one more color->class arc forward than
+    # back, so taking the least cost lo off each arc cost moves every path
+    # by -lo and the total by -lo per unit of flow, and changes neither
+    # the cost ranks nor the flow; the costs are then >= 0 for the flow
+    lo = int(costs.min()) if len(costs) else 0
+    if len(costs) and int(costs.max()) - lo > INT64_MAX:
+        costs = costs.astype(object)
+    cost_matrix = np.zeros(choice.shape, dtype=costs.dtype)
+    cost_matrix[have] = costs - lo
     H = build_arb_network(spg, alpha, arc_cost_matrix=cost_matrix)
     assignment = min_cost_max_flow(H)
+    assignment.total_cost += lo * assignment.value
     if assignment.value < spg.n - 1:
         return None, assignment
     arb = _network_solution(spg, H, assignment, choice)

@@ -22,14 +22,16 @@ One blocking-flow core (`_dinitz`) serves both questions. The maximum
 flow is a single run of it; the minimum-cost maximum flow runs it once per
 primal-dual round, on the arcs whose reduced cost a Dijkstra has just
 brought to zero (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, 9.8).
-The rounds are at most the distinct lengths of a shortest augmenting
-path, which never shrink. On the arborescence network with color->class
-costs in [lo, hi], the first such path is source->color->class->sink, of
-length >= lo, and a simple residual path enters each of the q color nodes
-at most once (from the source, or back along a used color->class arc),
-so its length is at most q*hi - (q-1)*lo: at most q*(hi-lo) + 1 rounds,
-whatever the flow value. Capacities above one do not change this count,
-since it bounds path lengths, not paths.
+Its costs must be non-negative, so zero potentials start it (ibid., ch.
+9). The rounds are at most the distinct lengths of a shortest augmenting
+path, which never shrink. The minimum-weight solver subtracts the least
+color->class cost lo from every one, so they lie in [0, hi-lo]; the
+first shortest path is source->color->class->sink, of length >= 0, and a
+simple residual path enters each of the q color nodes at most once (from
+the source, or back along a used color->class arc), so its length is at
+most q*(hi-lo): at most q*(hi-lo) + 1 rounds, whatever the flow value.
+Capacities above one do not change this count, since it bounds path
+lengths, not paths.
 """
 
 from __future__ import annotations
@@ -284,64 +286,31 @@ def _reachable_forward(adj, to, cap, start: int) -> list[bool]:
     return seen
 
 
-def _reachable_backward(adj, to, cap, start: int) -> list[bool]:
-    # walk positive arcs against their direction via the paired slots
-    seen = [False] * len(adj)
-    seen[start] = True
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for k in adj[u]:
-            if (k & 1) and cap[k ^ 1] > 0 and not seen[to[k]]:
-                seen[to[k]] = True
-                queue.append(to[k])
-    return seen
-
-
 def min_cost_max_flow(H: FlowNetwork) -> FlowAssignment:
     """Minimum-cost maximum flow by the primal-dual method.
 
-    Costs may be negative; the first potentials come from Bellman-Ford
-    over the nodes that lie on some source-sink path. Each round then runs
-    one Dijkstra on reduced costs, raises the potentials by the distances
-    (capped at the sink's), and pushes a maximum flow with `_dinitz` over
-    the residual arcs whose reduced cost is now zero: every augmenting
-    path of that round is a shortest one. Each round lengthens the
-    shortest augmenting path, so the rounds are at most the number of its
-    distinct lengths, not the flow value. The network must not contain a
-    negative-cost cycle of positive capacity (the arborescence networks
-    are layered, so they never do); one raises ValueError.
+    Arc costs must be non-negative (ValueError otherwise), so the first
+    potentials are all zero: every reduced cost is then >= 0. Each
+    round runs one Dijkstra on reduced costs, raises the potentials by the
+    distances (capped at the sink's), and pushes a maximum flow with
+    `_dinitz` over the residual arcs whose reduced cost is now zero: every
+    augmenting path of that round is a shortest one. Each round lengthens
+    the shortest augmenting path, so the rounds are at most the number of
+    its distinct lengths, not the flow value.
     """
+    if any(c < 0 for c in H.arc_costs):
+        raise ValueError("min_cost_max_flow requires non-negative arc costs")
     to, cap, adj, cost = _residual(H, True)
     src, snk = H.source, H.sink
     num_nodes = H.num_nodes
     INF = float("inf")
-    fwd = _reachable_forward(adj, to, cap, src)
-    if not fwd[snk]:
-        return FlowAssignment(flow=[0] * H.num_arcs, value=0,
-                              phases_executed=0, total_cost=0)
-    bwd = _reachable_backward(adj, to, cap, snk)
-    alive = [f and b for f, b in zip(fwd, bwd)]
-    # Bellman-Ford potentials over the arcs that can ever carry flow
-    alive_nodes = [u for u in range(num_nodes) if alive[u]]
-    dist = [INF] * num_nodes
-    dist[src] = 0
-    for round_no in range(len(alive_nodes) + 1):
-        changed = False
-        for u in alive_nodes:
-            du = dist[u]
-            if du == INF:
-                continue
-            for k in adj[u]:
-                v = to[k]
-                if cap[k] > 0 and alive[v] and du + cost[k] < dist[v]:
-                    dist[v] = du + cost[k]
-                    changed = True
-        if not changed:
-            break
-    else:
-        raise ValueError("negative-cost cycle in flow network")
-    phi = dist
+    phi = [0] * num_nodes
+    # a node other than the sink that no arc leaves can pass on no flow,
+    # so no arc into it is ever worth entering (a color no class has)
+    onward = [False] * num_nodes
+    for t in H.arc_tails:
+        onward[t] = True
+    onward[snk] = True
     total = 0
     rounds = advances = retreats = augments = 0
     while True:
@@ -353,9 +322,9 @@ def min_cost_max_flow(H: FlowNetwork) -> FlowAssignment:
             if d > dist[u]:
                 continue
             for k in adj[u]:
-                v = to[k]
-                if cap[k] <= 0 or not alive[v]:
+                if cap[k] <= 0:
                     continue
+                v = to[k]
                 nd = d + cost[k] + phi[u] - phi[v]
                 if nd < dist[v]:
                     dist[v] = nd
@@ -363,16 +332,16 @@ def min_cost_max_flow(H: FlowNetwork) -> FlowAssignment:
         if dist[snk] == INF:
             break
         ds = dist[snk]
-        for v in alive_nodes:
+        # capped at ds, so no zero-reduced-cost arc leads from the source
+        # to a node farther than the sink: the Dinitz run never enters one
+        for v in range(num_nodes):
             phi[v] += min(dist[v], ds)
         # every s-t path of zero reduced cost is now a shortest one; slot
         # k ^ 1 has the opposite reduced cost of k, so pushing flow here
         # leaves no residual slot with a negative one
-        admissible: list[list[int]] = [[] for _ in range(num_nodes)]
-        for u in alive_nodes:
-            pu = phi[u]
-            admissible[u] = [k for k in adj[u] if alive[to[k]]
-                             and cost[k] + pu - phi[to[k]] == 0]
+        admissible = [[k for k in ks if onward[to[k]]
+                       and cost[k] + pu == phi[to[k]]]
+                      for ks, pu in zip(adj, phi)]
         value, _, adv, ret, aug = _dinitz(to, cap, admissible, src, snk)
         rounds += 1
         total += value

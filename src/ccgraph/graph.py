@@ -38,11 +38,13 @@ class ColoredDigraph:
 
     The columns `tails`, `heads`, `colors` and `weights` are stored once,
     as exact integer arrays: int64 when every value of the column fits,
-    else an object array of Python ints (see `_int_array`). So a
-    per-element read such as `g.weights[e]` gives a numpy integer, or a
-    Python int in an object column; a Python loop over edges should read
-    `.tolist()` once. Adjacency indexes are built lazily and cached, which
-    is safe because instances never change after construction.
+    else an object array of Python ints (see `_int_array`); a value other
+    than an integer, such as a bool, a float or a string, raises
+    ValueError naming its column. So a per-element read such as
+    `g.weights[e]` gives a numpy integer, or a Python int in an object
+    column; a Python loop over edges should read `.tolist()` once.
+    Adjacency indexes are built lazily and cached, which is safe because
+    instances never change after construction.
     """
 
     __slots__ = ("n", "q", "tails", "heads", "colors", "weights",
@@ -60,8 +62,8 @@ class ColoredDigraph:
                 e = (e.tail, e.head, e.color, e.weight)
             t, h, c, w = e
             rows.append((t, h, c, w))
-        self.tails, self.heads, self.colors, self.weights = map(
-            _int_array, zip(*rows) if rows else ((),) * 4)
+        self.tails, self.heads, self.colors, self.weights = _edge_columns(
+            zip(*rows) if rows else ((),) * 4)
         self._in_ids = None
         self._out_ids = None
 
@@ -69,12 +71,13 @@ class ColoredDigraph:
     def from_columns(cls, n: int, q: int, tails, heads, colors, weights
                      ) -> "ColoredDigraph":
         """Build a graph from edge columns (lists or arrays), converting
-        each once to its exact array form; int64 arrays are not copied."""
+        each once to its exact array form; int64 arrays are not copied.
+        A column with a value other than an integer raises ValueError."""
         g = cls(n, q)
         if not (len(tails) == len(heads) == len(colors) == len(weights)):
             raise ValueError("edge columns must have equal length")
-        g.tails, g.heads, g.colors, g.weights = map(
-            _int_array, (tails, heads, colors, weights))
+        g.tails, g.heads, g.colors, g.weights = _edge_columns(
+            (tails, heads, colors, weights))
         return g
 
     @property
@@ -126,15 +129,47 @@ INT64_MAX = int(np.iinfo(np.int64).max)
 
 def _int_array(values) -> np.ndarray:
     """Integers as an int64 array, or as an object array of Python ints
-    when some value does not fit int64.
+    when some value does not fit int64, as in a uint64 array past it.
 
-    Comparisons and arithmetic on the object form are exact, so code that
-    works on the result needs no second path for out-of-range values.
+    An int64 array is returned without a copy. Comparisons and arithmetic
+    on the object form are exact, so code that works on the result needs
+    no second path for out-of-range values. Values from outside the
+    program go through `_integers` first.
     """
+    if (isinstance(values, np.ndarray) and values.dtype.kind == "u"
+            and len(values) and values.max() > INT64_MAX):
+        return values.astype(object)
     try:
         return np.asarray(values, dtype=np.int64)
     except OverflowError:
         return np.array([int(v) for v in values], dtype=object)
+
+
+def _integers(values) -> np.ndarray:
+    """`_int_array` of a numpy integer array, or of a sequence or object
+    array of Python ints and numpy integers. Anything else, a bool, a
+    float or a string included, raises TypeError instead of being cast."""
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if values.dtype.kind not in "iu":
+            raise TypeError(f"{values.dtype} values are not integers")
+    elif not set(map(type, values)) <= {int}:
+        for v in values:
+            if type(v) is not int and not isinstance(v, np.integer):
+                raise TypeError(f"{v!r} is not an integer")
+    return _int_array(values)
+
+
+def _edge_columns(columns) -> list[np.ndarray]:
+    """(tails, heads, colors, weights) through `_integers`; a value other
+    than an integer raises ValueError naming its column."""
+    out = []
+    for name, values in zip(("tails", "heads", "colors", "weights"),
+                            columns):
+        try:
+            out.append(_integers(values))
+        except TypeError as exc:
+            raise ValueError(f"{name} column: {exc}") from None
+    return out
 
 
 def _ids_by_vertex(n: int, keys: np.ndarray, ids: np.ndarray
@@ -178,13 +213,18 @@ class ColorConstraint:
     """Per-color edge budgets alpha_1..alpha_q, stored positionally.
 
     Entry j bounds color j+1. Budgets above n-1 are effectively n-1; use
-    `clamped` where that matters.
+    `clamped` where that matters. Budgets are Python ints or numpy
+    integers, as for `_integers`; a bool, float or string raises
+    ValueError.
     """
 
     __slots__ = ("alpha",)
 
     def __init__(self, alpha: Sequence[int]):
-        alpha = tuple(int(a) for a in alpha)
+        try:
+            alpha = tuple(_integers(tuple(alpha)).tolist())
+        except TypeError as exc:
+            raise ValueError(f"color budgets: {exc}") from None
         if any(a < 0 for a in alpha):
             raise ValueError("color budgets must be non-negative")
         self.alpha = alpha

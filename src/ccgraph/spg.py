@@ -49,16 +49,12 @@ class DistanceTable:
         return self.dist[v] is not None
 
 
-def sssp(g: ColoredDigraph, source: int, mode: str = "auto") -> DistanceTable:
+def sssp(g: ColoredDigraph, source: int) -> DistanceTable:
     """Shortest-path distances from `source`.
 
-    mode: "auto" runs Bellman-Ford when some weight is negative and the
-    bucketed routine otherwise. "bfs" and "dijkstra" run the bucketed
-    routine after checking their precondition: "bfs" requires all weights
-    equal and non-negative, "dijkstra" requires non-negative weights
-    (ValueError otherwise). "bellman_ford" runs Bellman-Ford on any weights
-    and raises NegativeCycleReachable when a negative cycle is reachable
-    from the source.
+    Runs Bellman-Ford when some weight is negative, raising
+    NegativeCycleReachable when a negative cycle is reachable from the
+    source, and the bucketed routine otherwise.
 
     Cost: the bucketed routine sorts the edges by tail once and then
     relaxes the out-edges of a vertex about once per distance it settles
@@ -68,25 +64,9 @@ def sssp(g: ColoredDigraph, source: int, mode: str = "auto") -> DistanceTable:
     """
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range")
-    if mode == "auto":
-        mode = _pick_mode(g)
-    if mode == "bellman_ford":
-        return _sssp_bellman_ford(g, source)
-    w = g.columns()[3]
-    if mode == "bfs":
-        if g.m and bool((w != w[0]).any()):
-            raise ValueError("bfs mode requires all weights equal")
-    elif mode != "dijkstra":
-        raise ValueError(f"unknown sssp mode {mode!r}")
-    if g.m and int(w.min()) < 0:
-        raise ValueError(f"{mode} mode requires non-negative weights")
-    return DistanceTable(source, _delta_stepping(g, source))
-
-
-def _pick_mode(g: ColoredDigraph) -> str:
     if g.m and int(g.columns()[3].min()) < 0:
-        return "bellman_ford"
-    return "dijkstra"
+        return _sssp_bellman_ford(g, source)
+    return DistanceTable(source, _delta_stepping(g, source))
 
 
 # A frontier with fewer out-edges than this is relaxed by a Python loop:

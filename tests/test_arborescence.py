@@ -326,6 +326,34 @@ def test_class_network_matches_the_oracles(case):
             rows[row] = color
 
 
+@given(dags_with_repeated_rows(),
+       st.sampled_from([-5, 3, 2 ** 62, -2 ** 62, 2 ** 63]))
+def test_min_cost_moves_by_the_shift_alone(case, k):
+    # adding k to every weight moves every spanning tree by k (n - 1):
+    # the same tree and flow must win, at a total cost exactly that much
+    # higher, also where the shifted weights pass int64
+    spg, alpha = case
+    g = spg.graph
+    t, h, c, w = g.columns()
+    shifted = SpgGraph.from_dag(
+        ColoredDigraph.from_columns(g.n, g.q, t, h, c,
+                                    [x + k for x in w.tolist()]),
+        spg.root, spg.topo_order)
+    tree, stats = min_cc_arb_flow_stats(spg, alpha)
+    moved, moved_stats = min_cc_arb_flow_stats(shifted, alpha)
+    if stats is None:
+        assert moved_stats is None and moved is None
+        return
+    assert (moved_stats.flow, moved_stats.value) == (stats.flow, stats.value)
+    assert moved_stats.total_cost == stats.total_cost + k * stats.value
+    if tree is None:
+        assert moved is None
+        return
+    assert moved.parent_edge == tree.parent_edge
+    assert moved.color_counts == tree.color_counts
+    assert moved.total_weight == tree.total_weight + k * (g.n - 1)
+
+
 @pytest.mark.parametrize("solver", [cc_arb_flow, min_cc_arb_flow])
 def test_class_hands_colors_out_in_id_order(solver):
     # vertices 1, 2 and 3 form one class fed by colors 1 and 3; budgets

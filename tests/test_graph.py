@@ -158,6 +158,47 @@ def test_color_constraint_rejects_negative():
         ColorConstraint((1, -1))
 
 
+def test_uint64_weight_past_int64_is_stored_exactly():
+    w = np.array([2 ** 63], dtype=np.uint64)
+    g = ColoredDigraph.from_columns(2, 1, [0], [1], [1], w)
+    assert g.weights.dtype == object and g.weights.tolist() == [2 ** 63]
+    assert cc_spt(g, 0, (1,)).tree.total_weight == 2 ** 63
+    small = ColoredDigraph.from_columns(
+        2, 1, [0], [1], [1], np.array([7], dtype=np.uint64))
+    assert small.weights.dtype == np.int64 and small.weights.tolist() == [7]
+    # an int64 column is kept as it is
+    w64 = np.array([5], dtype=np.int64)
+    assert ColoredDigraph.from_columns(2, 1, [0], [1], [1], w64).weights is w64
+
+
+@pytest.mark.parametrize("column, values", [
+    ("weights", [1.5]),
+    ("weights", np.array([1.5])),
+    ("weights", ["7"]),
+    ("colors", [True]),
+    ("colors", np.array([True])),
+    ("heads", [1, True]),
+])
+def test_columns_reject_values_other_than_integers(column, values):
+    cols = {"tails": [0], "heads": [1], "colors": [1], "weights": [1]}
+    cols[column] = values
+    if len(values) == 2:
+        cols = {k: v if k == column else v * 2 for k, v in cols.items()}
+    with pytest.raises(ValueError, match=f"^{column} column: "):
+        ColoredDigraph.from_columns(2, 1, *cols.values())
+    edges = list(zip(*cols.values()))
+    with pytest.raises(ValueError, match=f"^{column} column: "):
+        ColoredDigraph(2, 1, edges)
+
+
+@pytest.mark.parametrize("alpha", [(1.5, 2), ("7",), (True,),
+                                   np.array([1.0, 2.0])])
+def test_color_constraint_rejects_values_other_than_integers(alpha):
+    with pytest.raises(ValueError, match="^color budgets: "):
+        ColorConstraint(alpha)
+    assert ColorConstraint(np.array([3, 2], dtype=np.int32)) == (3, 2)
+
+
 def test_restrict_to_all_is_identity(diamond):
     sub, back = restrict_to(diamond, range(4))
     assert back == [0, 1, 2, 3]

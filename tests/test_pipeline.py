@@ -275,7 +275,7 @@ def test_verify_spt_accepts_tree_near_int64(storage):
 def bellman_ford_says_spt(g, source, parent):
     """Oracle: every tree path weighs the Bellman-Ford distance of its end."""
     try:
-        dist = sssp(g, source, mode="bellman_ford").dist
+        dist = spg_module._sssp_bellman_ford(g, source).dist
     except NegativeCycleReachable:
         return False
     for v in range(g.n):
@@ -315,7 +315,7 @@ def candidate_trees(draw):
         g = ColoredDigraph.from_columns(
             n, q, *(np.array(col, dtype=np.int64) for col in zip(*edges)))
     try:
-        dist = sssp(g, 0, mode="bellman_ford").dist
+        dist = spg_module._sssp_bellman_ford(g, 0).dist
     except NegativeCycleReachable:
         dist = None
     tight_only = draw(st.booleans()) and dist is not None

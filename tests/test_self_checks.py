@@ -15,7 +15,7 @@ from ccgraph import (Arborescence, ColorConstraint, DistanceTable,
                      NegativeCycleReachable, SptResult, Violation,
                      verify_arborescence, verify_spt)
 from ccgraph.graph import ColoredDigraph
-from ccgraph.spg import _relaxations, sssp
+from ccgraph.spg import _relaxations, _sssp_bellman_ford, sssp
 
 
 def ref_verify_arborescence(g, root, tree, alpha):
@@ -173,7 +173,7 @@ def claimed_trees(draw):
     careful = draw(st.booleans())
     root = 0 if careful else draw(st.sampled_from([0, 0, -1, n, n - 1]))
     try:
-        dist = sssp(g, 0, mode="bellman_ford").dist
+        dist = _sssp_bellman_ford(g, 0).dist
     except NegativeCycleReachable:
         dist = [0] * n
     parent = {}

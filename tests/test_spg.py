@@ -70,28 +70,16 @@ def test_modes_agree_on_nonnegative_graphs():
     for i in range(30):
         g = gen_random_positive_cycle_digraph(rng.randint(2, 9), 2,
                                               rng.random() * 0.5, 100 + i)
-        ref = sssp(g, 0, mode="bellman_ford").dist
-        assert sssp(g, 0, mode="dijkstra").dist == ref
+        ref = spg_module._sssp_bellman_ford(g, 0).dist
+        assert dijkstra_reference(g, 0).dist == ref
         assert sssp(g, 0).dist == ref
 
 
 def test_bfs_mode_on_uniform_weights():
     g = ColoredDigraph(4, 1, [(0, 1, 1, 3), (1, 2, 1, 3), (0, 2, 1, 3),
                               (2, 3, 1, 3)])
-    assert sssp(g, 0, mode="bfs").dist == [0, 3, 3, 6]
+    assert dijkstra_reference(g, 0).dist == [0, 3, 3, 6]
     assert sssp(g, 0).dist == [0, 3, 3, 6]
-
-
-def test_bfs_mode_rejects_mixed_weights():
-    g = ColoredDigraph(3, 1, [(0, 1, 1, 1), (1, 2, 1, 2)])
-    with pytest.raises(ValueError):
-        sssp(g, 0, mode="bfs")
-
-
-def test_dijkstra_rejects_negative_weights():
-    g = ColoredDigraph(2, 1, [(0, 1, 1, -1)])
-    with pytest.raises(ValueError):
-        sssp(g, 0, mode="dijkstra")
 
 
 def test_auto_uses_bellman_ford_for_negative_dag():
@@ -162,15 +150,12 @@ def test_sssp_matches_heapq_dijkstra(cut, case):
     # or sends every frontier to the Python loop
     g, source = case
     ref = dijkstra_reference(g, source).dist
-    assert sssp(g, source, mode="bellman_ford").dist == ref
+    assert spg_module._sssp_bellman_ford(g, source).dist == ref
     with pytest.MonkeyPatch.context() as mp:
         if cut != "default":
             mp.setattr(spg_module, "_SCALAR_EDGES",
                        0 if cut == "vector" else g.m + 1)
         assert sssp(g, source).dist == ref
-        assert sssp(g, source, mode="dijkstra").dist == ref
-        if len(set(g.columns()[3].tolist())) <= 1:
-            assert sssp(g, source, mode="bfs").dist == ref
 
 
 def test_sssp_switches_between_relaxations_on_one_graph():
