@@ -14,6 +14,8 @@ from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
+
 from .arborescence import Arborescence, solve_cc_arb, verify_arborescence
 from .constrained_path import CcSpInstance, VccSpInstance, cc_to_vcc, \
     cc_sp_decide, vcc_to_cc
@@ -87,49 +89,57 @@ def _edge_fields(g: ColoredDigraph, edges) -> list[tuple[int, int, int, int]]:
     return list(zip(*(col[edges].tolist() for col in g.columns())))
 
 
-def _tree_rows(g: ColoredDigraph, tree: Arborescence, back=None):
-    vertices = sorted(tree.parent_edge)
-    edges = [int(tree.parent_edge[v]) for v in vertices]
-    rows = []
-    for v, e, (parent, _, color, weight) in zip(
-            vertices, edges, _edge_fields(g, edges)):
-        rows.append({"vertex": int(back[v] if back else v),
-                     "parent": back[parent] if back else parent,
-                     "edge": e, "color": color, "weight": weight})
-    return rows
+_TREE_ROW = ('{"vertex": %d, "parent": %d, "edge": %d, "color": %d, '
+             '"weight": %d}')
+_DISTANCE_ROW = '{"vertex": %d, "distance": %d}'
 
 
 def _emit_tree(args, out, g, tree, *, command, distances=None,
                spg_edges=None, solver=None, stats=None, back=None) -> int:
-    rows = _tree_rows(g, tree, back)
+    vertices = sorted(tree.parent_edge)
+    edges = np.array([tree.parent_edge[v] for v in vertices],
+                     dtype=np.int64)
+    t, _, c, w = g.columns()
+    parents, colors, weights = (col[edges].tolist() for col in (t, c, w))
+    if back:
+        vertices = [back[v] for v in vertices]
+        parents = [back[p] for p in parents]
     if args.json:
-        doc = {"command": command, "feasible": True,
-               "total_weight": tree.total_weight,
-               "color_counts": list(tree.color_counts), "tree": rows}
+        rows = zip(vertices, parents, edges.tolist(), colors, weights)
+        # (key, value as JSON) in the order and spacing of json.dumps
+        fields = [("command", json.dumps(command)), ("feasible", "true"),
+                  ("total_weight", json.dumps(tree.total_weight)),
+                  ("color_counts", json.dumps(list(tree.color_counts))),
+                  ("tree", _json_list(_TREE_ROW, rows))]
         if solver is not None:
-            doc["solver"] = solver
+            fields.append(("solver", json.dumps(solver)))
         if distances is not None:
-            doc["distances"] = [
-                {"vertex": int(back[v] if back else v), "distance": d}
-                for v, d in enumerate(distances.dist) if d is not None]
+            fields.append(("distances", _json_list(_DISTANCE_ROW, (
+                (back[v] if back else v, d)
+                for v, d in enumerate(distances.dist) if d is not None))))
         if spg_edges is not None:
-            doc["tight_edges"] = spg_edges
+            fields.append(("tight_edges", json.dumps(spg_edges)))
         if stats is not None:
-            doc["stats"] = {"flow_value": stats.value,
-                            "phases": stats.phases_executed,
-                            "advances": stats.advances,
-                            "retreats": stats.retreats,
-                            "augments": stats.augments}
+            fields.append(("stats", json.dumps({
+                "flow_value": stats.value,
+                "phases": stats.phases_executed,
+                "advances": stats.advances, "retreats": stats.retreats,
+                "augments": stats.augments})))
         if back is not None:
-            doc["restricted_to"] = len(back)
-        out.write(json.dumps(doc) + "\n")
+            fields.append(("restricted_to", json.dumps(len(back))))
+        out.write("{" + ", ".join(f'"{k}": {v}' for k, v in fields)
+                  + "}\n")
     else:
-        for r in rows:
-            out.write(f"t {r['vertex']} {r['parent']} {r['color']} "
-                      f"{r['weight']}\n")
+        out.write("".join(map("t %d %d %d %d\n".__mod__, zip(
+            vertices, parents, colors, weights))))
         counts = " ".join(str(c) for c in tree.color_counts)
         out.write(f"s summary yes {tree.total_weight} {counts}\n")
     return 0
+
+
+def _json_list(template: str, rows) -> str:
+    """A JSON list of the objects `template % row` for each row."""
+    return "[" + ", ".join(map(template.__mod__, rows)) + "]"
 
 
 def _emit_no(args, out, command) -> int:

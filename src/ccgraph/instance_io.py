@@ -7,17 +7,38 @@ is ignored), `n <id> <name>` names a vertex, `a <tail> <head> <color>
 <weight>` adds an edge, and `v <id> <color>` colors a vertex in the
 vertex-colored variant. Weights may be decimal; after multiplying by the
 scale they must land on integers. Endpoints may be written by name.
+
+A plain file, which is what `format_instance` writes without names or
+comments, is read in columns: one `p ccg <n> <m> <q>` line with n >= 1 and
+m >= 1, then exactly m lines `a <int> <int> <int> <int>`, single-spaced,
+each integer at most 18 ASCII digits with an optional `-`, and nothing
+else. Every other text, and a plain file whose graph fails `validate`,
+goes through the line reader, so every error message and line number
+comes from it.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+
+import numpy as np
 
 from .constrained_path import VertexColoredDigraph
 from .errors import ParseError, PrecisionError
 from .graph import ColoredDigraph, validate
 
 _WEIGHT_LIMIT = 1 << 63
+
+# A plain file's header, and the start of any body line that is not a
+# plain edge line. At most 18 digits fit int64 with room to spare, so
+# numpy's conversion cannot saturate. The search looks at one line at a
+# time: a repeated group over the whole body would keep state per line.
+_COUNT = r"([0-9]{1,18})"
+_PLAIN_HEADER = re.compile(rf"p ccg {_COUNT} {_COUNT} {_COUNT}\n")
+_INT = r" -?[0-9]{1,18}"
+_NOT_PLAIN_EDGE = re.compile(rf"^(?!a{_INT}{_INT}{_INT}{_INT}$)",
+                             re.MULTILINE)
 
 
 class _Reader:
@@ -189,8 +210,36 @@ class _Reader:
         self.edge_lines.append(lineno)
 
 
+def _plain_graph(text: str) -> ColoredDigraph | None:
+    """The valid graph of a plain file, read in columns, or None."""
+    header = _PLAIN_HEADER.match(text)
+    if header is None:
+        return None
+    n, m, q = map(int, header.groups())
+    body = text[header.end():]
+    if body.endswith("\n"):
+        body = body[:-1]
+    # m lines, each an edge line, so m >= 1; validate rejects n = 0
+    if body.count("\n") != m - 1 or _NOT_PLAIN_EDGE.search(body):
+        return None
+    values = np.fromstring(body.replace("a", " "), dtype=np.int64, sep=" ")
+    if len(values) != 4 * m:
+        return None
+    tails, heads, colors, weights = values.reshape(m, 4).T.copy()
+    g = ColoredDigraph.from_columns(n, q, tails, heads, colors, weights)
+    return g if validate(g) is None else None
+
+
 def parse_instance(text: str) -> tuple[ColoredDigraph, dict[str, int]]:
-    """Parse an edge-colored instance; returns the graph and the name map."""
+    """Parse an edge-colored instance; returns the graph and the name map.
+
+    A plain file (see the module docstring) is read in columns; any other
+    text, or a plain file whose graph fails `validate`, is read line by
+    line, which raises every ParseError with its line number.
+    """
+    g = _plain_graph(text)
+    if g is not None:
+        return g, {}
     r = _Reader(text, allow_vertex_colors=False)
     g = ColoredDigraph.from_columns(r.n, r.q, r.tails, r.heads, r.colors,
                                     r.weights)
@@ -231,9 +280,9 @@ def format_instance(g: ColoredDigraph, *, names: dict[str, int] | None = None,
     if names:
         for name, vid in sorted(names.items(), key=lambda kv: kv[1]):
             lines.append(f"n {vid} {name}")
-    for t, h, c, w in g.edge_tuples():
-        lines.append(f"a {t} {h} {c} {w}")
-    return "\n".join(lines) + "\n"
+    edges = zip(*(col.tolist() for col in g.columns()))
+    return "\n".join(lines) + "\n" + "".join(
+        [f"a {t} {h} {c} {w}\n" for t, h, c, w in edges])
 
 
 def format_vcc_instance(v: VertexColoredDigraph,

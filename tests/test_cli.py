@@ -6,9 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccgraph import (ColoredDigraph, SpgGraph, SptResult, cc_arb_flow,
                      format_instance, min_cc_arb_flow)
+from ccgraph import cli as cli_module
 from ccgraph.cli import run
 from ccgraph.testkit import cc_arb_match
 
@@ -484,3 +486,98 @@ def test_python_dash_m_reaches_the_cli():
                           timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: ccgraph")
+
+
+def dict_emit_tree(args, out, g, tree, *, command, distances=None,
+                   spg_edges=None, solver=None, stats=None, back=None):
+    # reference: the tree output as per-edge dicts and one json.dumps
+    vertices = sorted(tree.parent_edge)
+    edges = [int(tree.parent_edge[v]) for v in vertices]
+    fields = list(zip(*(col[edges].tolist() for col in g.columns())))
+    rows = []
+    for v, e, (parent, _, color, weight) in zip(vertices, edges, fields):
+        rows.append({"vertex": int(back[v] if back else v),
+                     "parent": back[parent] if back else parent,
+                     "edge": e, "color": color, "weight": weight})
+    if args.json:
+        doc = {"command": command, "feasible": True,
+               "total_weight": tree.total_weight,
+               "color_counts": list(tree.color_counts), "tree": rows}
+        if solver is not None:
+            doc["solver"] = solver
+        if distances is not None:
+            doc["distances"] = [
+                {"vertex": int(back[v] if back else v), "distance": d}
+                for v, d in enumerate(distances.dist) if d is not None]
+        if spg_edges is not None:
+            doc["tight_edges"] = spg_edges
+        if stats is not None:
+            doc["stats"] = {"flow_value": stats.value,
+                            "phases": stats.phases_executed,
+                            "advances": stats.advances,
+                            "retreats": stats.retreats,
+                            "augments": stats.augments}
+        if back is not None:
+            doc["restricted_to"] = len(back)
+        out.write(json.dumps(doc) + "\n")
+    else:
+        for r in rows:
+            out.write(f"t {r['vertex']} {r['parent']} {r['color']} "
+                      f"{r['weight']}\n")
+        counts = " ".join(str(c) for c in tree.color_counts)
+        out.write(f"s summary yes {tree.total_weight} {counts}\n")
+    return 0
+
+
+BIG_WEIGHTS = [1 << 62, -(1 << 62), (1 << 63) - 1, 1 << 63, (1 << 63) + 5,
+               -(1 << 63) - 2]
+
+
+TREE_RUNS = [[command, *json_flag, *restrict]
+             for command in ("cc-spt", "min-cc-spt", "cc-arb", "min-cc-arb")
+             for json_flag in ([], ["--json"])
+             for restrict in ([], ["--restrict-reachable"])
+             if command.endswith("spt") or not restrict]
+
+
+@st.composite
+def tree_instances(draw):
+    """A small graph, possibly with weight columns past int64, and a
+    budget list for it."""
+    n = draw(st.integers(1, 7))
+    q = draw(st.integers(1, 3))
+    dag = draw(st.booleans())
+    # an edge into every vertex, or every odd one, from a lower one: all
+    # are reachable, or some gaps are left for --restrict-reachable
+    step = draw(st.sampled_from([1, 2, 0]))
+    pairs = ([(draw(st.integers(0, h - 1)), h) for h in range(1, n, step)]
+             if step else [])
+    for _ in range(draw(st.integers(0, 10)) if n > 1 else 0):
+        t, h = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                             max_size=2, unique=True))
+        pairs.append((min(t, h), max(t, h)) if dag else (t, h))
+    edges = [(t, h, draw(st.integers(1, q)), draw(st.one_of(
+        st.integers(-3, 9), st.sampled_from(BIG_WEIGHTS))))
+        for t, h in pairs]
+    g = ColoredDigraph.from_columns(n, q, *(
+        [e[i] for e in edges] for i in range(4)))
+    # mostly loose budgets, so that most runs print a tree
+    alpha = draw(st.lists(st.integers(0, n).map(lambda k: n - k),
+                          min_size=q, max_size=q))
+    return g, ",".join(map(str, alpha))
+
+
+@settings(max_examples=40)
+@given(tree_instances())
+def test_tree_output_matches_the_dict_encoder(case):
+    g, alpha = case
+    for argv in TREE_RUNS:
+        results = []
+        for emit in (cli_module._emit_tree, dict_emit_tree):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli_module, "_read_file", lambda path: "")
+                mp.setattr(cli_module, "parse_instance",
+                           lambda text: (g, {}))
+                mp.setattr(cli_module, "_emit_tree", emit)
+                results.append(cli(*argv, "-s", "0", "-a", alpha, "-"))
+        assert results[0] == results[1], argv
