@@ -114,9 +114,11 @@ def _emit_tree(args, out, g, tree, *, command, distances=None,
         if solver is not None:
             fields.append(("solver", json.dumps(solver)))
         if distances is not None:
-            fields.append(("distances", _json_list(_DISTANCE_ROW, (
-                (back[v] if back else v, d)
-                for v, d in enumerate(distances.dist) if d is not None))))
+            at = np.flatnonzero(distances.reached).tolist()
+            if back:
+                at = [back[v] for v in at]
+            fields.append(("distances", _json_list(_DISTANCE_ROW, zip(
+                at, distances.values[distances.reached].tolist()))))
         if spg_edges is not None:
             fields.append(("tight_edges", json.dumps(spg_edges)))
         if stats is not None:
@@ -415,7 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-q", type=int, default=2)
     p.add_argument("--density", type=float, default=0.3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--weights", default="1,10")
+    p.add_argument("--weights", default="1,10",
+                   help="weight range LO,HI for dag and poscycle; write "
+                        "--weights=LO,HI when LO is negative")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="check a tree file against an "

@@ -211,9 +211,9 @@ def cc_sp_decide(inst: CcSpInstance, *,
     alpha = inst.alpha
     n, q = g.n, g.q
     dist = sssp(g, s)
-    base = dist.dist[t]
-    if base is None:
+    if not dist.reachable(t):
         return None
+    base = dist.distance(t)
     caps = [min(alpha[i], n - 1) for i in range(q)]
     states_per_vertex = 1
     for c in caps:

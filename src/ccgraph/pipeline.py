@@ -94,7 +94,8 @@ def verify_spt(g: ColoredDigraph, source: int, spt, alpha
         exists because a negative cycle is reachable. One per such v, in
         ascending order, naming the lowest such edge.
       distance_mismatch: an SptResult stores a distance for v other
-        than d_T(v).
+        than d_T(v), or None. A table whose length is not n gives one
+        such violation, with no vertex, instead of one per vertex.
     """
     tree = spt.tree if isinstance(spt, SptResult) else spt
     claimed = spt.distances if isinstance(spt, SptResult) else None
@@ -115,15 +116,19 @@ def verify_spt(g: ColoredDigraph, source: int, spt, alpha
                              f"tree path to {v} weighs {d[v]}, edge {e} "
                              f"from {u} gives {relaxed}",
                              vertex=v, edge=e))
-    if claimed is not None:
-        # indexed vertex by vertex, so a short table raises IndexError
-        stored = np.fromiter(map(claimed.dist.__getitem__, range(g.n)),
-                             dtype=object, count=g.n)
-        for v in np.flatnonzero(stored != d).tolist():
-            out.append(Violation(
-                "distance_mismatch",
-                f"stored distance {claimed.dist[v]} for vertex {v}, "
-                f"tree path weighs {d[v]}", vertex=v))
+    if claimed is None:
+        return out
+    if len(claimed.values) != g.n:
+        out.append(Violation(
+            "distance_mismatch", f"distance table has "
+            f"{len(claimed.values)} entries for {g.n} vertices"))
+        return out
+    for v in np.flatnonzero(~claimed.reached
+                            | (claimed.values != d)).tolist():
+        out.append(Violation(
+            "distance_mismatch",
+            f"stored distance {claimed.distance(v)} for vertex {v}, "
+            f"tree path weighs {d[v]}", vertex=v))
     return out
 
 

@@ -17,7 +17,6 @@ edge vertices[i] -> vertices[(i+1) % k].
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,23 +29,67 @@ from .errors import (
 )
 from .graph import (INT64_MAX, ColoredDigraph, InDegreeByColor,
                     _ids_by_vertex, _in_degree_matrix, _int_array,
-                    _magnitude)
+                    _integers, _magnitude)
 
 UNREACHABLE = None
 
 
-@dataclass
 class DistanceTable:
-    """Distances from `source`; None marks unreachable vertices."""
+    """Distances from `source`, stored once in exact form.
 
-    source: int
-    dist: list[int | None]
+    `values` is an int64 array, or an object array of Python ints when a
+    distance does not fit int64, with 0 at the vertices the source does
+    not reach; `reached` is the bool mask of the vertices it reaches.
+    `dist` is the same table as a list, with None (UNREACHABLE) for an
+    unreachable vertex. The constructor takes that list; an entry other
+    than None or an integer, such as a bool, a float or a string, raises
+    ValueError.
+    """
+
+    __slots__ = ("source", "values", "reached")
+
+    def __init__(self, source: int, dist: Sequence[int | None]):
+        dist = list(dist)
+        try:
+            values = _integers([0 if d is None else d for d in dist])
+        except TypeError as exc:
+            raise ValueError(f"distance table: {exc}") from None
+        self.source = source
+        self.values = values
+        self.reached = np.array([d is not None for d in dist], dtype=bool)
+
+    @classmethod
+    def _of_arrays(cls, source: int, values: np.ndarray,
+                   reached: np.ndarray) -> "DistanceTable":
+        """A table of arrays already in the stored form, not copied."""
+        table = cls.__new__(cls)
+        table.source, table.values, table.reached = source, values, reached
+        return table
+
+    @property
+    def dist(self) -> list[int | None]:
+        out = self.values.tolist()
+        for v in np.flatnonzero(~self.reached).tolist():
+            out[v] = UNREACHABLE
+        return out
 
     def distance(self, v: int) -> int | None:
-        return self.dist[v]
+        return int(self.values[v]) if self.reached[v] else UNREACHABLE
 
     def reachable(self, v: int) -> bool:
-        return self.dist[v] is not None
+        return bool(self.reached[v])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DistanceTable):
+            return NotImplemented
+        return (self.source == other.source
+                and np.array_equal(self.reached, other.reached)
+                and np.array_equal(self.values, other.values))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"DistanceTable(source={self.source!r}, dist={self.dist!r})"
 
 
 def sssp(g: ColoredDigraph, source: int) -> DistanceTable:
@@ -66,7 +109,7 @@ def sssp(g: ColoredDigraph, source: int) -> DistanceTable:
         raise ValueError(f"source {source} out of range")
     if g.m and int(g.columns()[3].min()) < 0:
         return _sssp_bellman_ford(g, source)
-    return DistanceTable(source, _delta_stepping(g, source))
+    return DistanceTable._of_arrays(source, *_delta_stepping(g, source))
 
 
 # A frontier with fewer out-edges than this is relaxed by a Python loop:
@@ -77,8 +120,10 @@ def sssp(g: ColoredDigraph, source: int) -> DistanceTable:
 _SCALAR_EDGES = 160
 
 
-def _delta_stepping(g: ColoredDigraph, source: int) -> list[int | None]:
-    """Distances from `source` under non-negative weights; None if unreached.
+def _delta_stepping(g: ColoredDigraph, source: int
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from `source` under non-negative weights, as the
+    `values` and `reached` arrays of a DistanceTable.
 
     Delta-stepping (Meyer & Sanders, J. Algorithms 49(1), 2003): bucket b
     holds the vertices whose tentative distance lies in [b*delta,
@@ -92,9 +137,9 @@ def _delta_stepping(g: ColoredDigraph, source: int) -> list[int | None]:
     n, m = g.n, g.m
     tails, heads, _, weights = g.columns()
     if m == 0:
-        dist: list[int | None] = [None] * n
-        dist[source] = 0
-        return dist
+        reached = np.zeros(n, dtype=bool)
+        reached[source] = True
+        return np.zeros(n, dtype=np.int64), reached
     max_w = int(weights.max())
     # above every simple-path distance, so it marks "not reached"; every
     # tentative distance is a simple-path length, so sums stay below it
@@ -194,10 +239,12 @@ def _delta_stepping(g: ColoredDigraph, source: int) -> list[int | None]:
                         packed_at[k] = [part]
                         if k not in loose_at:
                             heapq.heappush(heap, k)
-    out = dist.tolist()
-    for v in np.flatnonzero(dist == inf).tolist():
-        out[v] = None
-    return out
+    reached = dist != inf
+    dist[~reached] = 0
+    if dtype is object:
+        # int64 unless some distance does not fit it
+        dist = _int_array(dist)
+    return dist, reached
 
 
 def _sssp_bellman_ford(g: ColoredDigraph, source: int) -> DistanceTable:
@@ -404,22 +451,22 @@ class SpgGraph:
 def build_spg(g: ColoredDigraph, source: int, d: DistanceTable) -> SpgGraph:
     """Keep exactly the tight edges.
 
-    Requires every vertex reachable from the source (UnreachableVertex
-    otherwise). Raises NonPositiveCycle with a witness when the tight
-    subgraph is cyclic; the witness cycle always sums to weight zero and
-    is the one `_kahn` finds among all tight edges. With non-negative
-    weights and no zero-weight tight edge the subgraph is acyclic and is
-    not sorted.
+    The table must be for `source` and have one entry per vertex
+    (ValueError otherwise), and every vertex must be reachable from the
+    source (UnreachableVertex naming the first one otherwise). Raises
+    NonPositiveCycle with a witness when the tight subgraph is cyclic; the
+    witness cycle always sums to weight zero and is the one `_kahn` finds
+    among all tight edges. With non-negative weights and no zero-weight
+    tight edge the subgraph is acyclic and is not sorted.
     """
     if d.source != source:
         raise ValueError("distance table was computed for a different source")
-    dist = d.dist[:g.n]
-    if None in dist:
-        raise UnreachableVertex(dist.index(None))
-    if len(dist) < g.n:
-        # what reading the table vertex by vertex would raise
-        raise IndexError("list index out of range")
-    via, at = _relaxations(g, d.dist)
+    if len(d.values) != g.n:
+        raise ValueError(f"distance table has {len(d.values)} entries "
+                         f"for {g.n} vertices")
+    if not d.reached.all():
+        raise UnreachableVertex(int(np.argmin(d.reached)))
+    via, at = _relaxations(g, d.values)
     tight = np.flatnonzero(via == at)
     w = g.columns()[3]
     if g.m == 0 or (w.min() >= 0 and not (w[tight] == 0).any()):

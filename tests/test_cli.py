@@ -488,6 +488,30 @@ def test_python_dash_m_reaches_the_cli():
     assert done.stdout.startswith("usage: ccgraph")
 
 
+@pytest.mark.parametrize("weights", ["1,9", "-3,9"])
+def test_answers_do_not_depend_on_the_self_check(tmp_path, weights):
+    # -O drops the __debug__ self-check; the printed answer must not move.
+    # Weights from -3 take sssp's Bellman-Ford path.
+    code, text, _ = cli("gen", "dag", "-n", "30", "-q", "3", "--seed", "4",
+                        f"--weights={weights}")
+    assert code == 0
+    path = tmp_path / "dag.ccg"
+    path.write_text(text)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for command in ("cc-spt", "min-cc-spt"):
+        outs = []
+        for flags in ([], ["-O"]):
+            done = subprocess.run(
+                [sys.executable, *flags, "-m", "ccgraph", command, "--json",
+                 "-s", "0", "-a", "29,29,29", str(path)],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert (done.returncode, done.stderr) == (0, "")
+            outs.append(done.stdout)
+        assert json.loads(outs[0])["feasible"]
+        assert outs[0] == outs[1]
+
+
 def dict_emit_tree(args, out, g, tree, *, command, distances=None,
                    spg_edges=None, solver=None, stats=None, back=None):
     # reference: the tree output as per-edge dicts and one json.dumps

@@ -1,3 +1,5 @@
+import io
+import json
 import warnings
 from random import Random
 
@@ -235,6 +237,44 @@ def test_verify_spt_flags_tampered_distances(diamond):
                      solver_used=res.solver_used)
     kinds = [v.kind for v in verify_spt(diamond, 0, lied, (2, 1))]
     assert kinds == ["distance_mismatch"]
+
+
+def test_verify_spt_flags_a_table_of_the_wrong_length(diamond):
+    res = cc_spt(diamond, 0, (2, 1))
+    for dist in ([0, 1, 1], [0, 1, 1, 2, 0], [0, 1, 1, 2, None]):
+        lied = SptResult(tree=res.tree, distances=DistanceTable(0, dist),
+                         spg_edge_count=res.spg_edge_count,
+                         solver_used=res.solver_used)
+        bad = verify_spt(diamond, 0, lied, (2, 1))
+        assert [(v.kind, v.vertex) for v in bad] == [
+            ("distance_mismatch", None)]
+        assert bad[0].message == (f"distance table has {len(dist)} "
+                                  "entries for 4 vertices")
+
+
+def test_tree_path_builds_no_distance_list(monkeypatch, tmp_path):
+    from ccgraph import format_instance
+    from ccgraph.cli import run
+
+    def no_list(self):
+        raise AssertionError("the distance list was built")
+
+    monkeypatch.setattr(DistanceTable, "dist", property(no_list))
+    with pytest.raises(AssertionError):
+        DistanceTable(0, [0]).dist
+    g = gen_layered_dag(60, 180, 3, seed=7)
+    alpha = (g.n,) * 3
+    res = cc_spt(g, 0, alpha)
+    assert res is not None
+    assert min_cc_spt(g, 0, alpha) is not None
+    path = tmp_path / "dag.ccg"
+    path.write_text(format_instance(g))
+    out, err = io.StringIO(), io.StringIO()
+    code = run(["cc-spt", "--json", "-s", "0", "-a", "60,60,60", str(path)],
+               stdout=out, stderr=err)
+    assert (code, err.getvalue()) == (0, "")
+    rows = json.loads(out.getvalue())["distances"]
+    assert [r["distance"] for r in rows] == res.distances.values.tolist()
 
 
 def test_verify_spt_reports_arborescence_trouble_first(diamond):

@@ -171,6 +171,39 @@ def test_sssp_switches_between_relaxations_on_one_graph():
         assert sssp(g, 0).dist == dijkstra_reference(g, 0).dist
 
 
+def test_distance_table_takes_integers_and_none_only():
+    for bad in (1.5, True, "7"):
+        with pytest.raises(ValueError, match="distance table"):
+            DistanceTable(0, [0, bad])
+    d = DistanceTable(0, [np.int64(0), np.int32(4), None, np.uint8(2)])
+    assert d.values.dtype == np.int64
+    assert d.reached.tolist() == [True, True, False, True]
+    assert d.dist == [0, 4, None, 2]
+    assert [type(x) for x in d.dist] == [int, int, type(None), int]
+    assert (d.distance(1), d.distance(2)) == (4, None)
+    assert type(d.distance(3)) is int
+    assert d.reachable(3) and not d.reachable(2)
+    assert d == DistanceTable(0, [0, 4, None, 2])
+    assert d != DistanceTable(0, [0, 4, 0, 2])
+    assert d != DistanceTable(1, [0, 4, None, 2])
+
+
+def test_distances_past_int64_stay_exact():
+    # the 2^62 weights: a chain whose second distance passes int64
+    g = ColoredDigraph(3, 1, [(0, 1, 1, 1 << 62), (1, 2, 1, 1 << 62)])
+    d = sssp(g, 0)
+    assert d.values.dtype == object
+    assert d.dist == [0, 1 << 62, 1 << 63]
+    assert [type(x) for x in d.dist] == [int, int, int]
+    assert d.distance(2) == 1 << 63
+    assert d == DistanceTable(0, [0, 1 << 62, 1 << 63])
+    # delta-stepping sums in Python ints here, but every distance fits
+    g = ColoredDigraph(4, 1, [(0, 1, 1, 1 << 62), (0, 2, 1, 1)])
+    d = sssp(g, 0)
+    assert d.values.dtype == np.int64
+    assert d.dist == [0, 1 << 62, 1, None]
+
+
 def test_sssp_on_a_long_chain_is_the_prefix_sum():
     n = 5000
     t = np.arange(n - 1, dtype=np.int64)
@@ -348,16 +381,14 @@ def distance_cases(draw):
 def test_build_spg_matches_a_sort_of_all_tight_edges(case):
     g, edges, dist = case
     d = DistanceTable(0, dist)
-    # the table is read vertex by vertex up to n, then as a whole
-    head = dist[:g.n]
-    if None in head:
+    if len(dist) != g.n:
+        with pytest.raises(ValueError, match="distance table"):
+            build_spg(g, 0, d)
+        return
+    if None in dist:
         with pytest.raises(UnreachableVertex) as info:
             build_spg(g, 0, d)
-        assert info.value.vertex == head.index(None)
-        return
-    if len(dist) < g.n or None in dist:
-        with pytest.raises(IndexError if len(dist) < g.n else TypeError):
-            build_spg(g, 0, d)
+        assert info.value.vertex == dist.index(None)
         return
     tight = [j for j, (t, h, _, w) in enumerate(edges)
              if dist[t] + w == dist[h]]
