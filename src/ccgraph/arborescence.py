@@ -28,22 +28,74 @@ import numpy as np
 from .errors import Violation, WrongColorCount
 from .flow import (FlowAssignment, build_arb_network, dinitz_max_flow,
                    min_cost_max_flow)
-from .graph import (INT64_MAX, ColoredDigraph, ColorConstraint, _int_array,
-                    _magnitude)
+from .graph import (INT64_MAX, ColoredDigraph, ColorConstraint, _integers,
+                    _magnitude, _vertex)
 from .spg import SpgGraph
 
 
-@dataclass(frozen=True)
 class Arborescence:
-    """Spanning arborescence given as one in-edge per non-root vertex."""
+    """Spanning arborescence given as one in-edge per non-root vertex.
 
-    root: int
-    parent_edge: dict[int, int]
-    color_counts: tuple[int, ...]
-    total_weight: int
+    Stored once, as two arrays of one length: `vertices`, ascending, and
+    `edges`, where vertices[i] takes the in-edge edges[i]. Both are int64,
+    or object arrays of Python ints when a caller's id does not fit int64.
+    A solver's tree lists every vertex but the root. `parent_edge` is the
+    same tree as the dict {vertex: edge}, in ascending vertex order, built
+    on every read. The constructor takes that dict as the caller states
+    it, so `verify_arborescence` can report a missing vertex, the root or
+    an id outside the graph; a key or value other than an integer, such
+    as a bool, a float or a string, raises ValueError.
+    """
+
+    __slots__ = ("root", "vertices", "edges", "color_counts", "total_weight")
+
+    def __init__(self, root: int, parent_edge: dict[int, int],
+                 color_counts: tuple[int, ...], total_weight: int):
+        try:
+            vertices = _integers(list(parent_edge))
+            edges = _integers(list(parent_edge.values()))
+        except TypeError as exc:
+            raise ValueError(f"parent edges: {exc}") from None
+        order = np.argsort(vertices, kind="stable")
+        self.root = root
+        self.vertices = vertices[order]
+        self.edges = edges[order]
+        self.color_counts = color_counts
+        self.total_weight = total_weight
+
+    @classmethod
+    def _of_arrays(cls, root: int, vertices: np.ndarray, edges: np.ndarray,
+                   color_counts: tuple[int, ...], total_weight: int
+                   ) -> "Arborescence":
+        """A tree of arrays already in the stored form, not copied."""
+        tree = cls.__new__(cls)
+        tree.root, tree.vertices, tree.edges = root, vertices, edges
+        tree.color_counts, tree.total_weight = color_counts, total_weight
+        return tree
+
+    @property
+    def parent_edge(self) -> dict[int, int]:
+        return dict(zip(self.vertices.tolist(), self.edges.tolist()))
 
     def edge_ids(self) -> list[int]:
-        return [self.parent_edge[v] for v in sorted(self.parent_edge)]
+        return self.edges.tolist()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Arborescence):
+            return NotImplemented
+        return (self.root == other.root
+                and self.color_counts == other.color_counts
+                and self.total_weight == other.total_weight
+                and np.array_equal(self.vertices, other.vertices)
+                and np.array_equal(self.edges, other.edges))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (f"Arborescence(root={self.root!r}, "
+                f"parent_edge={self.parent_edge!r}, "
+                f"color_counts={self.color_counts!r}, "
+                f"total_weight={self.total_weight!r})")
 
 
 @dataclass(frozen=True)
@@ -109,15 +161,22 @@ def _choice(spg: SpgGraph, minimize: bool) -> np.ndarray:
 
 def _tree(spg: SpgGraph, vertices: np.ndarray, edges: np.ndarray
           ) -> Arborescence:
-    """The arborescence in which vertices[i] takes the edge edges[i]."""
+    """The arborescence in which vertices[i] takes the edge edges[i].
+
+    The solvers list every non-root vertex once, in any order; scattered
+    by vertex, the edges come out in ascending vertex order without a
+    sort. A vertex left out would keep edge -1, which the self-check
+    reports as out of range."""
     _, _, c, w = spg.graph.columns()
+    n, root = spg.n, spg.root
+    by_vertex = np.full(n, -1, dtype=np.int64)
+    by_vertex[vertices] = edges
     counts = np.bincount(c[edges], minlength=spg.q + 1)[1:]
-    return Arborescence(root=spg.root,
-                        parent_edge=dict(zip(vertices.tolist(),
-                                             edges.tolist())),
-                        color_counts=tuple(counts.tolist()),
-                        # summed as Python ints: an int64 sum can wrap
-                        total_weight=sum(w[edges].tolist()))
+    return Arborescence._of_arrays(
+        root, np.delete(np.arange(n), root), np.delete(by_vertex, root),
+        tuple(counts.tolist()),
+        # summed as Python ints: an int64 sum can wrap
+        sum(w[edges].tolist()))
 
 
 def _network_solution(spg: SpgGraph, H, assignment, choice: np.ndarray
@@ -308,7 +367,9 @@ def verify_arborescence(g: ColoredDigraph, root: int, tree: Arborescence,
     (which is how a cycle among the parent edges shows up), count or
     weight fields that disagree with the edges, and budget overruns. The
     parent edges are checked with array masks, and reachability by the
-    pointer doubling of `_tree_paths`.
+    pointer doubling of `_tree_paths`. A root outside the graph is a
+    wrong_root violation; a root other than an integer, such as a bool,
+    raises ValueError.
     """
     return _check_arborescence(g, root, tree, alpha)[0]
 
@@ -320,15 +381,13 @@ def _check_arborescence(g: ColoredDigraph, root: int, tree: Arborescence,
     connect to the root (None on a wrong root)."""
     out: list[Violation] = []
     n, m = g.n, g.m
+    root = _vertex("root", root)
     if not (0 <= root < n) or tree.root != root:
         out.append(Violation("wrong_root",
                              f"tree rooted at {tree.root}, expected {root}"))
         return out, None
     _, h, c, w = g.columns()
-    keys = _int_array(list(tree.parent_edge))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    edges = _int_array(list(tree.parent_edge.values()))[order]
+    keys, edges = tree.vertices, tree.edges
     inside = (keys >= 0) & (keys < n) & (keys != root)
     vertices = keys[inside].astype(np.int64)
     covered = np.zeros(n, dtype=bool)

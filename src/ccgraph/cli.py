@@ -96,9 +96,7 @@ _DISTANCE_ROW = '{"vertex": %d, "distance": %d}'
 
 def _emit_tree(args, out, g, tree, *, command, distances=None,
                spg_edges=None, solver=None, stats=None, back=None) -> int:
-    vertices = sorted(tree.parent_edge)
-    edges = np.array([tree.parent_edge[v] for v in vertices],
-                     dtype=np.int64)
+    vertices, edges = tree.vertices.tolist(), tree.edges
     t, _, c, w = g.columns()
     parents, colors, weights = (col[edges].tolist() for col in (t, c, w))
     if back:

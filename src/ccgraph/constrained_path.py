@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BudgetStateOverflow
-from .graph import ColoredDigraph, ColorConstraint, validate
+from .graph import ColoredDigraph, ColorConstraint, _vertex, validate
 from .spg import sssp
 
 
@@ -53,7 +53,10 @@ class VertexColoredDigraph:
 
 @dataclass(frozen=True)
 class CcSpInstance:
-    """Edge-colored shortest-path instance: graph, endpoints, budgets."""
+    """Edge-colored shortest-path instance: graph, endpoints, budgets.
+
+    The endpoints are integer vertex ids of the graph; anything else, a
+    bool included, raises ValueError."""
 
     graph: ColoredDigraph
     source: int
@@ -63,14 +66,16 @@ class CcSpInstance:
     def __post_init__(self):
         object.__setattr__(self, "alpha", ColorConstraint.of(self.alpha))
         self.alpha.require_length(self.graph.q)
-        if not (0 <= self.source < self.graph.n
-                and 0 <= self.target < self.graph.n):
-            raise ValueError("endpoint out of range")
+        n = self.graph.n
+        object.__setattr__(self, "source", _vertex("source", self.source, n))
+        object.__setattr__(self, "target", _vertex("target", self.target, n))
 
 
 @dataclass(frozen=True)
 class VccSpInstance:
-    """Vertex-colored shortest-path instance: graph, endpoints, budgets."""
+    """Vertex-colored shortest-path instance: graph, endpoints, budgets.
+
+    The endpoints are integer vertex ids, as for CcSpInstance."""
 
     graph: VertexColoredDigraph
     source: int
@@ -80,9 +85,9 @@ class VccSpInstance:
     def __post_init__(self):
         object.__setattr__(self, "alpha", ColorConstraint.of(self.alpha))
         self.alpha.require_length(self.graph.q)
-        if not (0 <= self.source < self.graph.n
-                and 0 <= self.target < self.graph.n):
-            raise ValueError("endpoint out of range")
+        n = self.graph.n
+        object.__setattr__(self, "source", _vertex("source", self.source, n))
+        object.__setattr__(self, "target", _vertex("target", self.target, n))
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,21 @@ def _integers(values) -> np.ndarray:
     return _int_array(values)
 
 
+def _vertex(what: str, v, n: int | None = None) -> int:
+    """A vertex id `v`, a Python int or a numpy integer, as a Python int.
+
+    Anything else, a bool or numpy bool included (numpy would index with
+    it as a mask), raises ValueError naming `what`; so does an id outside
+    0..n-1, unless n is None, for callers that report that case
+    themselves.
+    """
+    if type(v) is not int and not isinstance(v, np.integer):
+        raise ValueError(f"{what} {v!r} is not an integer vertex id")
+    if n is not None and not 0 <= v < n:
+        raise ValueError(f"{what} {v} out of range")
+    return int(v)
+
+
 def _edge_columns(columns) -> list[np.ndarray]:
     """(tails, heads, colors, weights) through `_integers`; a value other
     than an integer raises ValueError naming its column."""

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .graph import (INT64_MAX, ColoredDigraph, InDegreeByColor,
                     _ids_by_vertex, _in_degree_matrix, _int_array,
-                    _integers, _magnitude)
+                    _integers, _magnitude, _vertex)
 
 UNREACHABLE = None
 
@@ -97,7 +97,8 @@ def sssp(g: ColoredDigraph, source: int) -> DistanceTable:
 
     Runs Bellman-Ford when some weight is negative, raising
     NegativeCycleReachable when a negative cycle is reachable from the
-    source, and the bucketed routine otherwise.
+    source, and the bucketed routine otherwise. A source other than an
+    integer vertex id of g, such as a bool or a float, raises ValueError.
 
     Cost: the bucketed routine sorts the edges by tail once and then
     relaxes the out-edges of a vertex about once per distance it settles
@@ -105,8 +106,7 @@ def sssp(g: ColoredDigraph, source: int) -> DistanceTable:
     loop when that frontier has few out-edges (a long chain takes the loop
     in every bucket). Bellman-Ford is O(n m) in Python.
     """
-    if not (0 <= source < g.n):
-        raise ValueError(f"source {source} out of range")
+    source = _vertex("source", source, g.n)
     if g.m and int(g.columns()[3].min()) < 0:
         return _sssp_bellman_ford(g, source)
     return DistanceTable._of_arrays(source, *_delta_stepping(g, source))
@@ -408,8 +408,7 @@ class SpgGraph:
         A caller that knows a topological order may pass it; it is checked
         in one vectorized pass. Raises NotAcyclic on cyclic input.
         """
-        if not (0 <= root < graph.n):
-            raise ValueError(f"root {root} out of range")
+        root = _vertex("root", root, graph.n)
         if topo_order is not None:
             order = list(topo_order)
             if sorted(order) != list(range(graph.n)):
@@ -451,14 +450,16 @@ class SpgGraph:
 def build_spg(g: ColoredDigraph, source: int, d: DistanceTable) -> SpgGraph:
     """Keep exactly the tight edges.
 
-    The table must be for `source` and have one entry per vertex
-    (ValueError otherwise), and every vertex must be reachable from the
-    source (UnreachableVertex naming the first one otherwise). Raises
+    The source must be an integer vertex id of g, and the table must be
+    for it and have one entry per vertex (ValueError otherwise). Every
+    vertex must be reachable from the source (UnreachableVertex naming
+    the first one otherwise). Raises
     NonPositiveCycle with a witness when the tight subgraph is cyclic; the
     witness cycle always sums to weight zero and is the one `_kahn` finds
     among all tight edges. With non-negative weights and no zero-weight
     tight edge the subgraph is acyclic and is not sorted.
     """
+    source = _vertex("source", source, g.n)
     if d.source != source:
         raise ValueError("distance table was computed for a different source")
     if len(d.values) != g.n:

@@ -2,7 +2,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ccgraph import (Arborescence, ColoredDigraph, SpgGraph, WrongColorCount,
                      cc_arb_flow, cc_arb_flow_stats, cc_rb_arb,
@@ -495,3 +495,64 @@ def test_verify_accepts_every_solver_output(diamond_spg, diamond_min_dag):
     for spg, arb, alpha in cases:
         assert arb is not None
         assert_good(spg, arb, alpha)
+
+
+@pytest.mark.parametrize("bad", [1.0, 2.7, True, "7", np.True_,
+                                 np.float64(1)])
+def test_arborescence_takes_integer_ids_only(bad):
+    for parent in ({bad: 0}, {1: bad}):
+        with pytest.raises(ValueError, match="^parent edges: "):
+            Arborescence(root=0, parent_edge=parent, color_counts=(1,),
+                         total_weight=1)
+
+
+def test_verify_rejects_a_tree_with_float_ids():
+    # on the chain 0 -> 1 -> 2 this dict was once read as {1: 0, 2: 1}
+    g = ColoredDigraph(3, 1, [(0, 1, 1, 1), (1, 2, 1, 1)])
+    with pytest.raises(ValueError):
+        verify_arborescence(g, 0, Arborescence(
+            root=0, parent_edge={1.0: 0, 2.7: 1}, color_counts=(2,),
+            total_weight=2), (2,))
+
+
+def test_arborescence_stores_ascending_arrays():
+    tree = Arborescence(root=0, parent_edge={np.int32(3): np.int64(2),
+                                             1: 0, 2: 1},
+                        color_counts=(2, 1), total_weight=3)
+    assert tree.vertices.tolist() == [1, 2, 3]
+    assert tree.edges.tolist() == [0, 1, 2]
+    assert tree.vertices.dtype == tree.edges.dtype == np.int64
+    assert list(tree.parent_edge.items()) == [(1, 0), (2, 1), (3, 2)]
+    assert repr(tree) == ("Arborescence(root=0, parent_edge={1: 0, 2: 1, "
+                          "3: 2}, color_counts=(2, 1), total_weight=3)")
+    with pytest.raises(TypeError):
+        hash(tree)
+    # an id past int64 is kept exactly, for the verifier to report
+    far = Arborescence(root=0, parent_edge={1: 0, 2: 1, 2 ** 64: 2},
+                       color_counts=(2, 1), total_weight=3)
+    assert far.parent_edge == {1: 0, 2: 1, 2 ** 64: 2}
+
+
+@settings(max_examples=60)
+@given(budgeted_dags(), st.randoms(use_true_random=False))
+def test_trees_survive_the_dict_round_trip(case, rng):
+    spg, alpha = case
+    g, root = spg.graph, spg.root
+    for minimize in (False, True):
+        tree = solve_cc_arb(spg, alpha, minimize=minimize)[0]
+        if tree is None:
+            continue
+        again = Arborescence(tree.root, tree.parent_edge, tree.color_counts,
+                             tree.total_weight)
+        assert again == tree and repr(again) == repr(tree)
+        # drop one vertex and list the root, so that there is something
+        # to report, then state the dict in a shuffled order
+        items = list(tree.parent_edge.items())[1:] + [(root, 0)]
+        shuffled = items[:]
+        rng.shuffle(shuffled)
+        trees = [Arborescence(root, dict(order), tree.color_counts,
+                              tree.total_weight)
+                 for order in (items, shuffled)]
+        assert trees[0] == trees[1]
+        assert (verify_arborescence(g, root, trees[0], alpha)
+                == verify_arborescence(g, root, trees[1], alpha))

@@ -605,3 +605,78 @@ def test_tree_output_matches_the_dict_encoder(case):
                 mp.setattr(cli_module, "_emit_tree", emit)
                 results.append(cli(*argv, "-s", "0", "-a", alpha, "-"))
         assert results[0] == results[1], argv
+
+
+SOLVING = ["cc-spt", "min-cc-spt", "cc-arb", "min-cc-arb", "cc-sp"]
+
+# weights around the int64 limit and far past it: the parser either
+# stores them exactly or rejects the file
+FAR_WEIGHTS = BIG_WEIGHTS + [-(1 << 63), 10 ** 30, -10 ** 30]
+
+
+@st.composite
+def instance_texts(draw):
+    """A small instance file, mostly valid, and the budget list, source
+    and target of one question about it."""
+    n = draw(st.integers(1, 6))
+    q = draw(st.integers(1, 4))
+    dag = draw(st.booleans())
+    weights = draw(st.sampled_from([
+        st.integers(0, 9), st.integers(0, 9), st.integers(-3, 9),
+        st.one_of(st.integers(-3, 9), st.sampled_from(FAR_WEIGHTS))]))
+    # an edge into every vertex from a lower one, so that vertex 0 mostly
+    # reaches everything, and some more
+    pairs = ([(draw(st.integers(0, h - 1)), h) for h in range(1, n)]
+             if draw(st.integers(0, 3)) else [])
+    for _ in range(draw(st.integers(0, 6)) if n > 1 else 0):
+        t, h = draw(st.lists(st.integers(0, n - 1), min_size=2,
+                             max_size=2, unique=True))
+        pairs.append((min(t, h), max(t, h)) if dag else (t, h))
+    edges = [[t, h, draw(st.integers(1, q)), draw(weights)]
+             for t, h in pairs]
+    fault = draw(st.sampled_from(
+        ["none"] * 10 + ["endpoint", "color", "loop", "e line", "count"]))
+    if edges and fault in ("endpoint", "color", "loop"):
+        e = edges[draw(st.integers(0, len(edges) - 1))]
+        if fault == "endpoint":
+            e[draw(st.integers(0, 1))] = draw(st.sampled_from([-1, n]))
+        elif fault == "color":
+            e[2] = draw(st.sampled_from([0, q + 1]))
+        else:
+            e[1] = e[0]
+    lines = [f"p ccg {n} {len(edges) + (fault == 'count')} {q}"]
+    lines += ["a " + " ".join(map(str, e)) for e in edges]
+    if fault == "e line":
+        lines.append("e 0 1")
+    # mostly loose budgets, sometimes one too many or too few
+    length = q + draw(st.sampled_from([0] * 10 + [-1, 1]))
+    alpha = ",".join(str(draw(st.integers(0, n).map(lambda k: n - k)))
+                     for _ in range(length))
+    ends = st.sampled_from([0, 0, 0, *range(n), n])
+    return ("\n".join(lines) + "\n", alpha, str(draw(ends)),
+            str(draw(ends)))
+
+
+@settings(max_examples=40)
+@given(instance_texts())
+def test_solving_commands_exit_0_1_or_2(case):
+    text, alpha, source, target = case
+    files = {"inst": text}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli_module, "_read_file", files.__getitem__)
+        for command in SOLVING:
+            checks = [[]] if command == "cc-sp" else [[], ["--verify"]]
+            ends = ["-s", source] + (["-t", target] if command == "cc-sp"
+                                     else [])
+            for flags in ([*c, *j] for c in checks for j in ([], ["--json"])):
+                argv = [command, *flags, *ends, "-a", alpha, "inst"]
+                code, out, err = cli(*argv)
+                assert code in (0, 1, 2), (argv, err)
+                assert (code == 2) == err.startswith("error: "), (argv, err)
+                if code or "--json" in flags or command == "cc-sp":
+                    continue
+                # a "yes" in text mode is a tree file that verify accepts
+                files["tree"] = out
+                mode = "arb" if command.endswith("arb") else "spt"
+                assert cli("verify", mode, "-s", source, "-a", alpha,
+                           "--tree", "tree", "inst") == (0, "ok\n", ""), argv

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ccgraph import (Arborescence, ColorConstraint, ColoredDigraph,
-                     DistanceTable, LowerBoundTooLarge,
+from ccgraph import (Arborescence, CcSpInstance, ColorConstraint,
+                     ColoredDigraph, DistanceTable, LowerBoundTooLarge,
                      NegativeCycleReachable, NonPositiveCycle, SpgGraph,
-                     SptResult, UnreachableVertex, at_least_transform,
-                     cc_arb_flow, cc_rb_arb, cc_spt, min_cc_arb_flow,
-                     min_cc_rb_arb, min_cc_spt, verify_spt)
+                     SptResult, UnreachableVertex, VccSpInstance,
+                     VertexColoredDigraph, at_least_transform, cc_arb_flow,
+                     cc_rb_arb, cc_spt, min_cc_arb_flow, min_cc_rb_arb,
+                     min_cc_spt, verify_arborescence, verify_spt)
 from ccgraph import spg as spg_module
 from ccgraph.testkit import (brute_min_cc_arb, cc_arb_match,
                              enumerate_spg_arborescences, gen_layered_dag,
@@ -275,6 +276,74 @@ def test_tree_path_builds_no_distance_list(monkeypatch, tmp_path):
     assert (code, err.getvalue()) == (0, "")
     rows = json.loads(out.getvalue())["distances"]
     assert [r["distance"] for r in rows] == res.distances.values.tolist()
+
+
+def test_tree_path_builds_no_parent_dict(monkeypatch, tmp_path):
+    from ccgraph import format_instance
+    from ccgraph.cli import run
+
+    def no_dict(self):
+        raise AssertionError("the parent_edge dict was built")
+
+    monkeypatch.setattr(Arborescence, "parent_edge", property(no_dict))
+    with pytest.raises(AssertionError):
+        Arborescence(0, {}, (), 0).parent_edge
+    for q in (2, 3):
+        g = gen_layered_dag(60, 180, q, seed=7)
+        alpha = (g.n,) * q
+        res = cc_spt(g, 0, alpha)
+        assert res is not None
+        assert min_cc_spt(g, 0, alpha) is not None
+        path = tmp_path / "dag.ccg"
+        path.write_text(format_instance(g))
+        for flags in (["--json"], []):
+            out, err = io.StringIO(), io.StringIO()
+            code = run(["cc-spt", *flags, "-s", "0", "-a",
+                        ",".join(map(str, alpha)), str(path)],
+                       stdout=out, stderr=err)
+            assert (code, err.getvalue()) == (0, "")
+        rows = out.getvalue().splitlines()[:-1]
+        assert [int(r.split()[1]) for r in rows] == res.tree.vertices.tolist()
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, 0.0, np.float64(1), "1"])
+def test_vertex_ids_take_integers_only(diamond, bad):
+    d = sssp(diamond, 0)
+    tree = cc_spt(diamond, 0, (2, 1)).tree
+    v = VertexColoredDigraph(2, 1, (1, 1), ((0, 1, 1),))
+    calls = [lambda: sssp(diamond, bad),
+             lambda: build_spg(diamond, bad, d),
+             lambda: SpgGraph.from_dag(diamond, bad),
+             lambda: cc_spt(diamond, bad, (2, 1)),
+             lambda: min_cc_spt(diamond, bad, (2, 1)),
+             lambda: CcSpInstance(diamond, bad, 3, (2, 1)),
+             lambda: CcSpInstance(diamond, 0, bad, (2, 1)),
+             lambda: VccSpInstance(v, bad, 1, (1,)),
+             lambda: VccSpInstance(v, 0, bad, (1,)),
+             lambda: verify_spt(diamond, bad, tree, (2, 1)),
+             lambda: verify_arborescence(diamond, bad, tree, (2, 1))]
+    for call in calls:
+        with pytest.raises(ValueError, match="is not an integer vertex id"):
+            call()
+
+
+def test_bool_source_is_rejected_not_read_as_a_mask():
+    # numpy reads dist[True] = 0 as a mask and zeroes every distance, which
+    # leaves no tight edge and answers "no" where source 1 has a tree
+    g = ColoredDigraph(2, 1, [(1, 0, 1, 4)])
+    assert cc_spt(g, 1, (5,)) is not None
+    assert cc_spt(g, np.int64(1), (5,)).tree == cc_spt(g, 1, (5,)).tree
+    with pytest.raises(ValueError):
+        cc_spt(g, True, (5,))
+    assert sssp(g, np.int32(1)).source == 1
+
+
+def test_root_out_of_range_is_a_violation(diamond):
+    tree = cc_spt(diamond, 0, (2, 1)).tree
+    for root in (-1, 4, np.int64(7)):
+        for verify in (verify_arborescence, verify_spt):
+            kinds = [v.kind for v in verify(diamond, root, tree, (2, 1))]
+            assert kinds == ["wrong_root"]
 
 
 def test_verify_spt_reports_arborescence_trouble_first(diamond):
