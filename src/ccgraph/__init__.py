@@ -17,8 +17,7 @@ from .errors import (BudgetStateOverflow, CCGraphError,
                      WrongColorCount)
 from .flow import (FlowAssignment, FlowNetwork, build_arb_network,
                    dinitz_max_flow, min_cost_max_flow, min_cut)
-from .graph import (ColorConstraint, ColoredDigraph, EdgeRecord,
-                    InDegreeByColor, in_degree_by_color, restrict_to,
+from .graph import (ColorConstraint, ColoredDigraph, EdgeRecord, restrict_to,
                     validate)
 from .instance_io import (format_instance, format_vcc_instance,
                           parse_instance, parse_vcc_instance)

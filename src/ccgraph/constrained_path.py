@@ -15,13 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BudgetStateOverflow
-from .graph import ColoredDigraph, ColorConstraint, _vertex, validate
+from .graph import (ColoredDigraph, ColorConstraint, _integers, _vertex,
+                    validate)
 from .spg import sssp
 
 
 @dataclass(frozen=True)
 class VertexColoredDigraph:
-    """Digraph with weighted uncolored edges and colored vertices."""
+    """Digraph with weighted uncolored edges and colored vertices.
+
+    Colors, endpoints and weights are stored as Python ints; a value other
+    than an integer, such as a bool, a float or a string, raises
+    ValueError."""
 
     n: int
     q: int
@@ -31,8 +36,16 @@ class VertexColoredDigraph:
     def __post_init__(self):
         if self.n < 1 or self.q < 0:
             raise ValueError("need n >= 1 and q >= 0")
-        colors = tuple(self.vertex_colors)
         edges = tuple(tuple(e) for e in self.edges)
+        try:
+            colors = tuple(_integers(tuple(self.vertex_colors)).tolist())
+            weights = _integers([w for _, _, w in edges]).tolist()
+        except TypeError as exc:
+            raise ValueError(f"vertex colors and edge weights: {exc}"
+                             ) from None
+        edges = tuple((_vertex("edge tail", t, self.n),
+                       _vertex("edge head", h, self.n), w)
+                      for (t, h, _), w in zip(edges, weights))
         object.__setattr__(self, "vertex_colors", colors)
         object.__setattr__(self, "edges", edges)
         if len(colors) != self.n:
@@ -41,8 +54,6 @@ class VertexColoredDigraph:
             if not (1 <= c <= self.q):
                 raise ValueError(f"vertex color {c} out of range")
         for t, h, _ in edges:
-            if not (0 <= t < self.n and 0 <= h < self.n):
-                raise ValueError("edge endpoint out of range")
             if t == h:
                 raise ValueError("self-loops are not allowed")
 

@@ -1,11 +1,14 @@
 """Flow networks over the tight subgraph.
 
-The arborescence network works on vertex classes, not on vertices. Two
-non-root vertices are in one class when they have the same set of
-in-colors and, for the minimum-weight question, the same cost for each of
-them; such vertices are interchangeable. The network has a super source,
-one node per color, one node per class, and a super sink: source->color
-arcs carry the color budgets, a color->class arc exists exactly where the
+The arborescence network works on vertex classes, not on vertices. It is
+built from one sorted list of the tight (head, color) pairs, each with
+the edge it takes (`_choice`), so its memory follows the tight edges and
+no table of n * (q+1) cells is built. Two non-root vertices are in one
+class when their runs in that list agree: the same set of in-colors and,
+for the minimum-weight question, the same cost for each of them; such
+vertices are interchangeable. The network has a super source, one node
+per color, one node per class, and a super sink: source->color arcs
+carry the color budgets, a color->class arc exists exactly where the
 class has that in-color, and both it and the class->sink arc have the
 class size as capacity. A flow of value n-1 then says how many vertices
 of each class take their in-edge from each color, within budget; this is
@@ -24,8 +27,8 @@ primal-dual round, on the arcs whose reduced cost a Dijkstra has just
 brought to zero (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, 9.8).
 Its costs must be non-negative, so zero potentials start it (ibid., ch.
 9). The rounds are at most the distinct lengths of a shortest augmenting
-path, which never shrink. The minimum-weight solver subtracts the least
-color->class cost lo from every one, so they lie in [0, hi-lo]; the
+path, which never shrink. The minimum-weight network subtracts the least
+pair cost lo from every color->class cost, so they lie in [0, hi-lo]; the
 first shortest path is source->color->class->sink, of length >= 0, and a
 simple residual path enters each of the q color nodes at most once (from
 the source, or back along a used color->class arc), so its length is at
@@ -42,7 +45,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .graph import ColorConstraint
+from .graph import INT64_MAX, ColorConstraint, _vertex
 from .spg import SpgGraph
 
 
@@ -51,7 +54,7 @@ class FlowNetwork:
 
     __slots__ = ("num_nodes", "source", "sink",
                  "arc_tails", "arc_heads", "arc_caps", "arc_costs",
-                 "color_arc_range", "class_members")
+                 "color_arc_range", "class_members", "choice", "cost_shift")
 
     def __init__(self, num_nodes: int, source: int, sink: int):
         self.num_nodes = num_nodes
@@ -64,20 +67,26 @@ class FlowNetwork:
         # set by build_arb_network
         self.color_arc_range = None
         self.class_members = None
+        self.choice = None
+        # added to the total cost once per unit of flow
+        self.cost_shift = 0
 
     @property
     def num_arcs(self) -> int:
         return len(self.arc_tails)
 
     def add_arc(self, u: int, v: int, capacity: int, cost: int = 0) -> int:
-        if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
-            raise ValueError("arc endpoint out of range")
+        u = _vertex("arc tail", u, self.num_nodes)
+        v = _vertex("arc head", v, self.num_nodes)
+        for what, x in (("capacity", capacity), ("cost", cost)):
+            if type(x) is not int and not isinstance(x, np.integer):
+                raise ValueError(f"arc {what} {x!r} is not an integer")
         if capacity < 0:
             raise ValueError("arc capacity must be non-negative")
         self.arc_tails.append(u)
         self.arc_heads.append(v)
-        self.arc_caps.append(capacity)
-        self.arc_costs.append(cost)
+        self.arc_caps.append(int(capacity))
+        self.arc_costs.append(int(cost))
         return self.num_arcs - 1
 
 
@@ -103,67 +112,101 @@ class FlowAssignment:
     augments: int = 0
 
 
-def build_arb_network(spg: SpgGraph, alpha,
-                      arc_cost_matrix: np.ndarray | None = None
+def _choice(spg: SpgGraph, minimize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The in-edge each tight (head, color) pair takes, as a sorted pair list.
+
+    Returns (keys, edges), one entry per pair that has an edge: keys are
+    head * (q+1) + color, ascending, so a vertex's pairs form one run in
+    color order; edges[i] is the smallest-id edge of that color into that
+    head or, with minimize, the lightest such edge and then the smallest
+    id. This is the one place where the solvers break ties.
+    """
+    _, h, c, w, ids = spg.columns()
+    key = h.astype(np.int64) * (spg.q + 1) + c
+    order = np.lexsort((ids, w, key) if minimize else (ids, key))
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = np.diff(key) != 0
+    return key[first], ids[order[first]]
+
+
+def build_arb_network(spg: SpgGraph, alpha, minimize: bool = False
                       ) -> FlowNetwork:
     """Build the arborescence network for the tight subgraph and budgets.
 
     Node layout: 0 is the super source, 1..q the color nodes, q+1..q+K the
     K vertex classes numbered by their smallest members, and q+K+1 the
-    super sink. A vertex's row is its set of in-colors or, when
-    `arc_cost_matrix` is given, the dense rank of `arc_cost_matrix[v,
-    color]` for each in-color and -1 for the others; vertices with equal
-    rows form a class. Color->class arcs come class by class in color
-    order, with the class's cost as their cost (0 without a cost matrix).
-    `class_members` lists the non-root vertices class by class, ascending
-    within each. A flow run on this network counts its phases, augments
-    and steps on the classes, not on the vertices.
+    super sink. The network keeps the pair list of `_choice(spg,
+    minimize)` as `choice`. A vertex's row is its run of pairs: its
+    in-colors and, with minimize, the dense rank of each pair's cost, the
+    weight of its chosen edge; vertices with equal rows form a class.
+    Color->class arcs come class by class in color order. They cost 0 for
+    the feasibility question; with minimize each costs the class's cost
+    for that color less `cost_shift`, the least cost of any pair, so that
+    every cost is >= 0 (an object array of Python ints takes a spread past
+    int64). `class_members` lists the non-root vertices class by class,
+    ascending within each. A flow run on this network counts its phases,
+    augments and steps on the classes, not on the vertices.
     """
     alpha = ColorConstraint.of(alpha)
     alpha.require_length(spg.q)
     n, q = spg.n, spg.q
-    _, h, c, _, _ = spg.columns()
-    have = np.zeros((n, q + 1), dtype=bool)
-    have[h, c] = True
-    vertices = np.flatnonzero(np.arange(n) != spg.root)
-    mask = have[vertices, 1:]
-    rows = mask
-    if arc_cost_matrix is not None:
+    keys, edges = choice = _choice(spg, minimize)
+    heads, colors = np.divmod(keys, q + 1)
+    costs, lo = np.zeros(len(keys), dtype=np.int64), 0
+    code = colors
+    if minimize and len(keys):
+        costs = spg.graph.columns()[3][edges]
+        # every augmenting path crosses one more color->class arc forward
+        # than back, so taking lo off each cost changes no flow
+        lo = int(costs.min())
+        if int(costs.max()) - lo > INT64_MAX:
+            costs = costs.astype(object)
+        costs = costs - lo
         # np.unique sorts Python ints too, so object costs stay exact
-        _, rank = np.unique(arc_cost_matrix[vertices, 1:][mask],
-                            return_inverse=True)
-        rows = np.full(mask.shape, -1, dtype=np.int64)
-        rows[mask] = rank
-    # equal rows side by side, ids ascending within each run of them
-    order = np.lexsort((vertices, *rows.T))
-    ranked = rows[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    smallest = vertices[order[starts]]
+        rank = np.unique(costs, return_inverse=True)[1]
+        code = rank * (q + 1) + colors
+    # in the narrowest unsigned type, which numpy sorts by radix up to 16 bits
+    code = code.astype(np.min_scalar_type(int(code.max(initial=0))))
+    counts = np.bincount(heads, minlength=n)
+    starts = np.cumsum(counts) - counts
+    vertices = np.flatnonzero(np.arange(n) != spg.root)
+    lengths = counts[vertices]
+    # equal rows side by side, ids ascending within each run of them; rows
+    # of one length at a time, so each is a dense block of its pairs
+    order = np.argsort(lengths, kind="stable")
+    new_row = np.ones(len(order), dtype=bool)
+    a = 0
+    for length, b in enumerate(np.cumsum(np.bincount(lengths)).tolist()):
+        at = order[a:b]
+        rows = code[starts[vertices[at], None] + np.arange(length)]
+        by_row = np.lexsort((at, *rows.T))
+        order[a:b] = at[by_row]
+        rows = rows[by_row]
+        new_row[a + 1:b] = (rows[1:] != rows[:-1]).any(axis=1)
+        a = b
+    smallest = vertices[order[new_row]]
     # classes numbered by their smallest members
-    cls = np.argsort(np.argsort(smallest))[np.cumsum(starts) - 1]
-    members = vertices[order[np.argsort(cls, kind="stable")]]
+    cls = np.argsort(np.argsort(smallest))[np.cumsum(new_row) - 1]
     sizes = np.bincount(cls, minlength=len(smallest))
     first = np.sort(smallest)
     num_classes = len(first)
+    # the pairs of each class's smallest member, class by class
+    is_first = np.zeros(n, dtype=bool)
+    is_first[first] = True
+    pair = np.flatnonzero(is_first[heads])
+    ks = np.repeat(np.arange(num_classes), counts[first])
     H = FlowNetwork(q + num_classes + 2, 0, q + num_classes + 1)
-    H.class_members = members
-    caps = alpha.clamped(max(n - 1, 0))
-    for i in range(1, q + 1):
-        H.add_arc(0, i, caps[i - 1])
-    ks, cs = np.nonzero(have[first, 1:])
-    cs += 1
-    start = H.num_arcs
-    H.arc_tails.extend(cs.tolist())
-    H.arc_heads.extend((q + 1 + ks).tolist())
-    H.arc_caps.extend(sizes[ks].tolist())
-    if arc_cost_matrix is None:
-        H.arc_costs.extend([0] * len(ks))
-    else:
-        H.arc_costs.extend(arc_cost_matrix[first[ks], cs].tolist())
-    H.color_arc_range = (start, H.num_arcs)
-    for k in range(num_classes):
-        H.add_arc(q + 1 + k, H.sink, int(sizes[k]))
+    H.class_members = vertices[order[np.argsort(cls, kind="stable")]]
+    H.choice, H.cost_shift = choice, lo
+    H.color_arc_range = (q, q + len(ks))
+    H.arc_tails = ([0] * q + colors[pair].tolist()
+                   + list(range(q + 1, q + num_classes + 1)))
+    H.arc_heads = (list(range(1, q + 1)) + (q + 1 + ks).tolist()
+                   + [H.sink] * num_classes)
+    H.arc_caps = (list(alpha.clamped(max(n - 1, 0))) + sizes[ks].tolist()
+                  + sizes.tolist())
+    H.arc_costs = [0] * q + costs[pair].tolist() + [0] * num_classes
     return H
 
 
@@ -296,7 +339,8 @@ def min_cost_max_flow(H: FlowNetwork) -> FlowAssignment:
     `_dinitz` over the residual arcs whose reduced cost is now zero: every
     augmenting path of that round is a shortest one. Each round lengthens
     the shortest augmenting path, so the rounds are at most the number of
-    its distinct lengths, not the flow value.
+    its distinct lengths, not the flow value. The total cost is that of
+    the arcs plus `H.cost_shift` per unit of flow.
     """
     if any(c < 0 for c in H.arc_costs):
         raise ValueError("min_cost_max_flow requires non-negative arc costs")
@@ -349,7 +393,8 @@ def min_cost_max_flow(H: FlowNetwork) -> FlowAssignment:
         retreats += ret
         augments += aug
     flows = [cap[2 * k + 1] for k in range(H.num_arcs)]
-    total_cost = sum(c * f for c, f in zip(H.arc_costs, flows))
+    total_cost = (sum(c * f for c, f in zip(H.arc_costs, flows))
+                  + H.cost_shift * total)
     return FlowAssignment(flow=flows, value=total, phases_executed=rounds,
                           total_cost=total_cost, advances=advances,
                           retreats=retreats, augments=augments)

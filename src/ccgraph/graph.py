@@ -285,41 +285,6 @@ class ColorConstraint:
         return f"ColorConstraint{self.alpha}"
 
 
-class InDegreeByColor:
-    """Counts of incoming edges per (vertex, color), as a dense matrix.
-
-    Column 0 is unused so that `matrix[v, c]` reads directly with 1-based
-    color ids.
-    """
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    def count(self, vertex: int, color: int) -> int:
-        return int(self.matrix[vertex, color])
-
-    def total(self) -> int:
-        return int(self.matrix.sum())
-
-    def colors_present(self, vertex: int) -> list[int]:
-        return [int(c) for c in np.nonzero(self.matrix[vertex])[0]]
-
-
-def _in_degree_matrix(n: int, q: int, heads: np.ndarray, colors: np.ndarray
-                      ) -> np.ndarray:
-    keys = heads * (q + 1) + colors
-    flat = np.bincount(keys, minlength=n * (q + 1))
-    return flat.reshape(n, q + 1)
-
-
-def in_degree_by_color(g: ColoredDigraph) -> InDegreeByColor:
-    """Count incoming edges of each color at each vertex."""
-    _, heads, colors, _ = g.columns()
-    return InDegreeByColor(_in_degree_matrix(g.n, g.q, heads, colors))
-
-
 def restrict_to(g: ColoredDigraph, vertices: Iterable[int]
                 ) -> tuple[ColoredDigraph, list[int]]:
     """Induced subgraph on `vertices`, densely renumbered.
@@ -327,10 +292,7 @@ def restrict_to(g: ColoredDigraph, vertices: Iterable[int]
     Returns the subgraph and a list mapping new vertex ids to old ones
     (ascending in old id, so the renumbering is deterministic).
     """
-    keep = sorted(set(int(v) for v in vertices))
-    for v in keep:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range")
+    keep = sorted({_vertex("vertex", v, g.n) for v in vertices})
     ids = np.array(keep, dtype=np.int64)
     t, h, c, w = g.columns()
     inside = np.isin(t, ids) & np.isin(h, ids)

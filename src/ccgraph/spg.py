@@ -27,8 +27,7 @@ from .errors import (
     NotAcyclic,
     UnreachableVertex,
 )
-from .graph import (INT64_MAX, ColoredDigraph, InDegreeByColor,
-                    _ids_by_vertex, _in_degree_matrix, _int_array,
+from .graph import (INT64_MAX, ColoredDigraph, _ids_by_vertex, _int_array,
                     _integers, _magnitude, _vertex)
 
 UNREACHABLE = None
@@ -367,16 +366,24 @@ class SpgGraph:
     ids seen by solvers always refer to the original edge sequence.
     `topo_order` is a valid topological order of the subgraph, the
     canonical one of `_kahn`; it is computed on first read (no solver
-    needs it) unless the constructor was given one.
+    needs it) unless the constructor was given one. The root must be an
+    integer vertex id and the edge ids integer ordinals of the graph's
+    edges (ValueError otherwise).
     """
 
     __slots__ = ("graph", "root", "edge_ids", "_topo_order", "_in_ids")
 
     def __init__(self, graph: ColoredDigraph, root: int,
                  edge_ids: np.ndarray, topo_order: list[int] | None = None):
+        try:
+            ids = _integers(edge_ids)
+        except TypeError as exc:
+            raise ValueError(f"edge_ids: {exc}") from None
+        if len(ids) and not 0 <= ids.min() <= ids.max() < graph.m:
+            raise ValueError("edge_ids out of range")
         self.graph = graph
-        self.root = root
-        self.edge_ids = edge_ids
+        self.root = _vertex("root", root, graph.n)
+        self.edge_ids = ids
         self._topo_order = topo_order
         self._in_ids = None
 
@@ -441,10 +448,6 @@ class SpgGraph:
         if len(ids) == self.graph.m:
             return t, h, c, w, ids
         return t[ids], h[ids], c[ids], w[ids], ids
-
-    def in_degree_by_color(self) -> InDegreeByColor:
-        _, h, c, _, _ = self.columns()
-        return InDegreeByColor(_in_degree_matrix(self.n, self.q, h, c))
 
 
 def build_spg(g: ColoredDigraph, source: int, d: DistanceTable) -> SpgGraph:

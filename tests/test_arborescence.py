@@ -1,3 +1,4 @@
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -9,9 +10,9 @@ from ccgraph import (Arborescence, ColoredDigraph, SpgGraph, WrongColorCount,
                      min_cc_arb_flow, min_cc_arb_flow_stats, min_cc_rb_arb,
                      rb_partition, solve_cc_arb, unrooted_vertices,
                      verify_arborescence)
-from ccgraph.arborescence import _choice
+from ccgraph.flow import _choice
 from ccgraph.testkit import (brute_cc_arb_general, brute_min_cc_arb,
-                             cc_arb_match, gen_random_dag)
+                             cc_arb_match, gen_layered_dag, gen_random_dag)
 
 ALL_DECIDERS = [cc_arb_flow, cc_arb_match]
 
@@ -269,7 +270,7 @@ def dags_with_repeated_rows(draw):
     # pairs, so in-color sets and cheapest-weight rows repeat across
     # vertices; a heavier second edge of a template color sometimes joins
     n = draw(st.integers(2, 8))
-    q = draw(st.integers(3, 5))
+    q = draw(st.sampled_from([3, 4, 5, 63, 64, 65]))
     templates = draw(st.lists(
         st.lists(st.tuples(st.integers(1, q), EXTREME_WEIGHTS),
                  min_size=1, max_size=2, unique_by=lambda cw: cw[0]),
@@ -314,16 +315,33 @@ def test_class_network_matches_the_oracles(case):
         if tree is None:
             continue
         assert_good(spg, tree, alpha)
-        choice = _choice(spg, minimize)
+        chosen = dict(zip(*(a.tolist() for a in _choice(spg, minimize))))
         rows = {}
         for v, e in sorted(tree.parent_edge.items()):
             color = int(g.colors[e])
-            assert e == choice[v, color]
+            pairs = [chosen.get(v * (g.q + 1) + c) for c in range(g.q + 1)]
+            assert e == pairs[color]
             # interchangeable vertices take colors in ascending id order
-            row = tuple(None if f < 0 else int(g.weights[f]) if minimize
-                        else True for f in choice[v, 1:].tolist())
+            row = tuple(None if f is None else int(g.weights[f]) if minimize
+                        else True for f in pairs[1:])
             assert color >= rows.get(row, color)
             rows[row] = color
+
+
+def test_class_network_memory_follows_the_tight_pairs():
+    # one n x (q+1) int64 table would take 1000 * 4097 * 8 bytes = 32.8 MB
+    # here; the pair list and the network take a few MB
+    g = gen_layered_dag(1000, 3000, 4096, seed=7)
+    spg = SpgGraph.from_dag(g, 0)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        tree = min_cc_arb_flow(spg, (g.n,) * g.q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree is not None
+    assert peak < 8_000_000
 
 
 @given(dags_with_repeated_rows(),

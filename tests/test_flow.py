@@ -184,16 +184,13 @@ def test_dinitz_matches_reference_on_random_networks():
 
 
 def test_mcmf_diamond_min_costs(diamond_min_dag):
-    costs = np.zeros((4, 3), dtype=np.int64)
-    costs[1, 1] = 1
-    costs[2, 2] = 1
-    costs[3, 1] = 1
-    costs[3, 2] = 5
+    # the chosen in-edges cost 1 (vertex 1, color 1), 1 (vertex 2, color 2),
+    # and 1 or 5 (vertex 3, color 1 or 2)
     cheap = min_cost_max_flow(
-        build_arb_network(diamond_min_dag, (2, 1), arc_cost_matrix=costs))
+        build_arb_network(diamond_min_dag, (2, 1), minimize=True))
     assert (cheap.value, cheap.total_cost) == (3, 3)
     forced = min_cost_max_flow(
-        build_arb_network(diamond_min_dag, (1, 2), arc_cost_matrix=costs))
+        build_arb_network(diamond_min_dag, (1, 2), minimize=True))
     assert (forced.value, forced.total_cost) == (3, 7)
 
 

@@ -4,7 +4,7 @@ from hypothesis import example, given, strategies as st
 
 from ccgraph import (CCGraphError, CcSpInstance, ColorConstraint,
                      ColoredDigraph, ConstraintLengthMismatch, EdgeRecord,
-                     cc_sp_decide, cc_spt, in_degree_by_color, min_cc_spt,
+                     cc_sp_decide, cc_spt, min_cc_spt,
                      restrict_to, validate)
 from ccgraph.graph import BAD_COLOR_ID, BAD_VERTEX_ID, INT64_MAX, SELF_LOOP
 from ccgraph.testkit import brute_cc_sp_decide
@@ -89,51 +89,6 @@ def test_in_and_out_edge_ids_ascending():
                               (1, 0, 1, 5)])
     assert g.in_edge_ids()[0] == [0, 1, 3]
     assert g.out_edge_ids()[1] == [0, 2, 3]
-
-
-def test_in_degree_by_color_empty():
-    g = ColoredDigraph(3, 2, [])
-    pi = in_degree_by_color(g)
-    assert pi.total() == 0
-    assert pi.count(1, 1) == 0 and pi.colors_present(1) == []
-
-
-def test_in_degree_by_color_direct_count():
-    g = ColoredDigraph(3, 2, [(0, 1, 1, 0), (2, 1, 1, 0), (0, 2, 2, 0)])
-    pi = in_degree_by_color(g)
-    assert pi.count(1, 1) == 2
-    assert pi.count(2, 2) == 1
-    assert pi.count(1, 2) == 0 and pi.count(0, 1) == 0
-    assert pi.total() == 3
-
-
-def test_in_degree_by_color_diamond(diamond):
-    pi = in_degree_by_color(diamond)
-    assert pi.count(1, 1) == 1
-    assert pi.count(2, 2) == 1
-    assert pi.count(3, 1) == 1 and pi.count(3, 2) == 1
-
-
-def test_in_degree_matches_independent_count():
-    # second, dictionary-based counting pass over random graphs
-    from random import Random
-    rng = Random(7)
-    for _ in range(25):
-        n, q = rng.randint(2, 9), rng.randint(1, 4)
-        edges = []
-        for _ in range(rng.randint(0, 25)):
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u == v:
-                continue
-            edges.append((u, v, rng.randint(1, q), rng.randint(-3, 9)))
-        g = ColoredDigraph(n, q, edges)
-        pi = in_degree_by_color(g)
-        counted: dict[tuple[int, int], int] = {}
-        for _, h, c, _ in edges:
-            counted[(h, c)] = counted.get((h, c), 0) + 1
-        for v in range(n):
-            for c in range(1, q + 1):
-                assert pi.count(v, c) == counted.get((v, c), 0)
 
 
 def test_color_constraint_basics():

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ccgraph import (Arborescence, CcSpInstance, ColorConstraint,
-                     ColoredDigraph, DistanceTable, LowerBoundTooLarge,
-                     NegativeCycleReachable, NonPositiveCycle, SpgGraph,
-                     SptResult, UnreachableVertex, VccSpInstance,
-                     VertexColoredDigraph, at_least_transform, cc_arb_flow,
-                     cc_rb_arb, cc_spt, min_cc_arb_flow, min_cc_rb_arb,
-                     min_cc_spt, verify_arborescence, verify_spt)
+                     ColoredDigraph, DistanceTable, FlowNetwork,
+                     LowerBoundTooLarge, NegativeCycleReachable,
+                     NonPositiveCycle, SpgGraph, SptResult,
+                     UnreachableVertex, VccSpInstance, VertexColoredDigraph,
+                     at_least_transform, cc_arb_flow, cc_rb_arb, cc_spt,
+                     min_cc_arb_flow, min_cc_rb_arb, min_cc_spt, restrict_to,
+                     verify_arborescence, verify_spt)
 from ccgraph import spg as spg_module
 from ccgraph.testkit import (brute_min_cc_arb, cc_arb_match,
                              enumerate_spg_arborescences, gen_layered_dag,
@@ -321,9 +322,23 @@ def test_vertex_ids_take_integers_only(diamond, bad):
              lambda: VccSpInstance(v, bad, 1, (1,)),
              lambda: VccSpInstance(v, 0, bad, (1,)),
              lambda: verify_spt(diamond, bad, tree, (2, 1)),
-             lambda: verify_arborescence(diamond, bad, tree, (2, 1))]
+             lambda: verify_arborescence(diamond, bad, tree, (2, 1)),
+             lambda: SpgGraph(diamond, bad, np.arange(4)),
+             lambda: restrict_to(diamond, [0, bad]),
+             lambda: VertexColoredDigraph(2, 1, (1, 1), ((bad, 1, 1),)),
+             lambda: VertexColoredDigraph(2, 1, (1, 1), ((0, bad, 1),)),
+             lambda: FlowNetwork(2, 0, 1).add_arc(bad, 1, 1)]
     for call in calls:
         with pytest.raises(ValueError, match="is not an integer vertex id"):
+            call()
+    # integer slots that are not vertex ids
+    calls = [lambda: SpgGraph(diamond, 0, [0, bad]),
+             lambda: VertexColoredDigraph(2, 1, (bad, 1), ((0, 1, 1),)),
+             lambda: VertexColoredDigraph(2, 1, (1, 1), ((0, 1, bad),)),
+             lambda: FlowNetwork(2, 0, 1).add_arc(0, 1, bad),
+             lambda: FlowNetwork(2, 0, 1).add_arc(0, 1, 1, cost=bad)]
+    for call in calls:
+        with pytest.raises(ValueError, match="not an integer"):
             call()
 
 

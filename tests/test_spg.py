@@ -323,12 +323,6 @@ def test_from_dag_validates_supplied_order(diamond_min):
         SpgGraph.from_dag(diamond_min, 0, topo_order=[0, 0, 2, 3])
 
 
-def test_spg_in_degree_by_color(diamond_spg):
-    pi = diamond_spg.in_degree_by_color()
-    assert pi.count(3, 1) == 1 and pi.count(3, 2) == 1
-    assert pi.count(1, 1) == 1 and pi.count(1, 2) == 0
-
-
 @st.composite
 def distance_cases(draw):
     """A small graph with weights 0..3 or -3..5, often with a ring of
