@@ -1,9 +1,8 @@
 """Shortest path trees and arborescences under per-color edge budgets."""
 
-from .arborescence import (Arborescence, RbPartition, cc_arb_flow,
-                           cc_arb_flow_stats, cc_rb_arb, min_cc_arb_flow,
-                           min_cc_arb_flow_stats, min_cc_rb_arb,
-                           rb_partition, solve_cc_arb, unrooted_vertices,
+from .arborescence import (Arborescence, cc_arb_flow, cc_arb_flow_stats,
+                           min_cc_arb_flow, min_cc_arb_flow_stats,
+                           solve_cc_arb, unrooted_vertices,
                            verify_arborescence)
 from .constrained_path import (CcSpInstance, ReductionCertificate,
                                VccSpInstance, VertexColoredDigraph,

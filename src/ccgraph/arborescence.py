@@ -3,34 +3,31 @@
 Every non-root vertex needs exactly one in-edge, so on a DAG rooted at r
 a set of per-vertex in-edge choices is automatically an arborescence; the
 only question is whether the colors of the chosen edges fit the budgets.
-There is one solver per question, and `solve_cc_arb` picks it from the
-number of colors: a direct two-color partition rule for q = 2 and a flow
-network otherwise, with min-cost variants of both for the minimum-weight
-question.
+There is one solver per question, at any number of colors: a flow network
+decides which color each vertex takes its in-edge from (`cc_arb_flow`),
+and its min-cost variant answers the minimum-weight question
+(`min_cc_arb_flow`). `solve_cc_arb` picks between the two by `minimize`.
 
 Tie-breaking is uniform and lives in one place, `flow._choice`: whenever
 a vertex may take its in-edge from a color in several ways, the edge with
-the smallest id wins; the min-cost solvers first minimize weight, then id.
+the smallest id wins; the min-cost solver first minimizes weight, then id.
 `_choice` returns one sorted list of the tight (head, color) pairs, keyed
 by head * (q+1) + color, with each pair's chosen edge, so its size follows
-the tight edges and not n * q. The solvers only decide which color each
-vertex takes, and `_tree` looks the edges of every answer up in that
-list. The flow solvers decide it per class of interchangeable vertices
-(same in-colors, and for min cost the same chosen weight per color):
-within a class the vertices, in ascending id, take the colors in
-ascending order, as many of each as the flow sends from that color into
-the class.
+the tight edges and not n * q. The flow decides the colors per class of
+interchangeable vertices (same in-colors, and for min cost the same
+chosen weight per color): within a class the vertices, in ascending id,
+take the colors in ascending order, as many of each as the flow sends
+from that color into the class, and each takes the edge the pair list
+holds for its color.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import Violation, WrongColorCount
-from .flow import (FlowAssignment, _choice, build_arb_network,
-                   dinitz_max_flow, min_cost_max_flow)
+from .errors import Violation
+from .flow import (FlowAssignment, build_arb_network, dinitz_max_flow,
+                   min_cost_max_flow)
 from .graph import (INT64_MAX, ColoredDigraph, ColorConstraint, _integers,
                     _magnitude, _vertex)
 from .spg import SpgGraph
@@ -101,86 +98,37 @@ class Arborescence:
                 f"total_weight={self.total_weight!r})")
 
 
-@dataclass(frozen=True)
-class RbPartition:
-    """How the two-color rule classified the non-root vertices.
-
-    v_r and v_b are the vertices with in-edges of only the first or only
-    the second color; v_rb can go either way.
-    """
-
-    v_r: tuple[int, ...]
-    v_b: tuple[int, ...]
-    v_rb: tuple[int, ...]
-
-
 def unrooted_vertices(spg: SpgGraph) -> list[int]:
     """Non-root vertices with no in-edge at all; non-empty means infeasible."""
-    _, heads, _, _, _ = spg.columns()
-    deg = np.bincount(heads, minlength=spg.n)
+    deg = np.bincount(spg.graph.heads[spg.edge_ids], minlength=spg.n)
     return [int(v) for v in np.flatnonzero(deg == 0) if v != spg.root]
-
-
-def rb_partition(spg: SpgGraph) -> RbPartition:
-    """Partition non-root vertices by which of two colors can feed them."""
-    if spg.q != 2:
-        raise WrongColorCount("two-color partition needs exactly 2 colors, "
-                              f"got {spg.q}")
-    _, h, c, _, _ = spg.columns()
-    v_r, v_b, v_rb, _ = _rb_classes(spg.n, spg.root, h, c)
-    return RbPartition(tuple(v_r.tolist()), tuple(v_b.tolist()),
-                       tuple(v_rb.tolist()))
-
-
-def _rb_classes(n, root, heads, colors):
-    """Non-root vertices fed by color 1 only, by color 2 only, by both,
-    and by neither, as ascending id arrays."""
-    red = np.bincount(heads[colors == 1], minlength=n) > 0
-    blue = np.bincount(heads[colors == 2], minlength=n) > 0
-    nonroot = np.ones(n, dtype=bool)
-    nonroot[root] = False
-    return (np.flatnonzero(nonroot & red & ~blue),
-            np.flatnonzero(nonroot & blue & ~red),
-            np.flatnonzero(nonroot & red & blue),
-            np.flatnonzero(nonroot & ~red & ~blue))
-
-
-def _chosen(choice, q: int, vertices: np.ndarray, colors) -> np.ndarray:
-    """The edges a `_choice` pair list holds for vertices[i] and colors[i]
-    (or one color for all); every such pair must be in the list."""
-    keys, edges = choice
-    return edges[np.searchsorted(keys, vertices * (q + 1) + colors)]
-
-
-def _tree(spg: SpgGraph, choice, color: np.ndarray) -> Arborescence:
-    """The arborescence in which every non-root vertex v takes the edge
-    the pair list `choice` holds for (v, color[v]).
-
-    The edges are looked up in ascending vertex order, so the sorted pair
-    list is searched front to back: on 20,000 vertices that took a
-    quarter of the time the same lookups took in class order."""
-    _, _, c, w = spg.graph.columns()
-    vertices = np.delete(np.arange(spg.n), spg.root)
-    edges = _chosen(choice, spg.q, vertices, color[vertices])
-    counts = np.bincount(c[edges], minlength=spg.q + 1)[1:]
-    return Arborescence._of_arrays(
-        spg.root, vertices, edges, tuple(counts.tolist()),
-        # summed as Python ints: an int64 sum can wrap
-        sum(w[edges].tolist()))
 
 
 def _network_solution(spg: SpgGraph, H, assignment) -> Arborescence:
     """The tree a full flow selects: the members of each class, in
     ascending id, take the colors whose arcs into the class carry flow, in
     color order, one member per unit, and each takes the edge the
-    network's pair list chose for it in that color."""
+    network's pair list `H.choice` holds for it in that color.
+
+    The edges are looked up in ascending vertex order, so the sorted pair
+    list is searched front to back: on 20,000 vertices that took a
+    quarter of the time the same lookups took in class order."""
     lo, hi = H.color_arc_range
     # the color->class arcs come class by class in color order, the
     # order in which class_members lists the classes
     color = np.zeros(spg.n, dtype=np.int64)
     color[H.class_members] = np.repeat(
         np.asarray(H.arc_tails[lo:hi], dtype=np.int64), assignment.flow[lo:hi])
-    return _tree(spg, H.choice, color)
+    keys, chosen = H.choice
+    vertices = np.delete(np.arange(spg.n), spg.root)
+    edges = chosen[np.searchsorted(
+        keys, vertices * (spg.q + 1) + color[vertices])]
+    _, _, c, w = spg.graph.columns()
+    counts = np.bincount(c[edges], minlength=spg.q + 1)[1:]
+    return Arborescence._of_arrays(
+        spg.root, vertices, edges, tuple(counts.tolist()),
+        # summed as Python ints: an int64 sum can wrap
+        sum(w[edges].tolist()))
 
 
 def _ruled_out(spg: SpgGraph, alpha: ColorConstraint) -> bool:
@@ -211,38 +159,6 @@ def cc_arb_flow_stats(spg: SpgGraph, alpha
     return _network_solution(spg, H, assignment), assignment
 
 
-def cc_rb_arb(spg: SpgGraph, alpha) -> Arborescence | None:
-    """Two-color budgeted arborescence by the partition rule; linear time.
-
-    Vertices reachable only in one color are forced; the flexible ones are
-    assigned to the first color until its budget is full (ascending vertex
-    id) and to the second color after that. Infeasible exactly when a
-    forced class overflows its budget or the flexible class overflows the
-    combined slack.
-    """
-    if spg.q != 2:
-        raise WrongColorCount("cc_rb_arb needs exactly 2 colors, "
-                              f"got {spg.q}")
-    alpha = ColorConstraint.of(alpha)
-    alpha.require_length(2)
-    n, root = spg.n, spg.root
-    _, h, c, _, _ = spg.columns()
-    v_r, v_b, v_rb, unrooted = _rb_classes(n, root, h, c)
-    if len(unrooted):
-        return None
-    need = n - 1
-    a1 = min(alpha[0], need)
-    a2 = min(alpha[1], need)
-    if len(v_r) > a1 or len(v_b) > a2:
-        return None
-    if len(v_rb) > (a1 - len(v_r)) + (a2 - len(v_b)):
-        return None
-    take = min(len(v_rb), a1 - len(v_r))
-    color = np.full(n, 2)
-    color[v_r] = color[v_rb[:take]] = 1
-    return _tree(spg, _choice(spg, False), color)
-
-
 def min_cc_arb_flow(spg: SpgGraph, alpha) -> Arborescence | None:
     """Minimum-weight color-budgeted arborescence via min-cost flow."""
     arb, _ = min_cc_arb_flow_stats(spg, alpha)
@@ -266,66 +182,17 @@ def min_cc_arb_flow_stats(spg: SpgGraph, alpha
     return arb, assignment
 
 
-def min_cc_rb_arb(spg: SpgGraph, alpha) -> Arborescence | None:
-    """Minimum-weight two-color budgeted arborescence without any flow.
-
-    Start from every vertex's cheaper side, then move the flexible
-    vertices with the smallest regret across until both budgets hold.
-    Regret ties break on vertex id.
-    """
-    if spg.q != 2:
-        raise WrongColorCount("min_cc_rb_arb needs exactly 2 colors, "
-                              f"got {spg.q}")
-    alpha = ColorConstraint.of(alpha)
-    alpha.require_length(2)
-    if _ruled_out(spg, alpha):
-        return None
-    n, root = spg.n, spg.root
-    a1 = min(alpha[0], n - 1)
-    a2 = min(alpha[1], n - 1)
-    _, h, c, _, _ = spg.columns()
-    v_r, v_b, v_rb, _ = _rb_classes(n, root, h, c)
-    if len(v_r) > a1 or len(v_b) > a2:
-        return None
-    choice = _choice(spg, True)
-    w = spg.graph.columns()[3]
-    # an int64 difference of two weights can wrap past 2^62; exact ints then
-    if 2 * _magnitude(w) > INT64_MAX:
-        w = w.astype(object)
-    red_w = w[_chosen(choice, 2, v_rb, 1)]
-    blue_w = w[_chosen(choice, 2, v_rb, 2)]
-    regret = blue_w - red_w
-    prefers_red = red_w <= blue_w
-    to_red = prefers_red.copy()
-    excess_red = len(v_r) + int(prefers_red.sum()) - a1
-    excess_blue = len(v_b) + int((~prefers_red).sum()) - a2
-    if excess_red > 0:
-        movers = np.flatnonzero(prefers_red)
-        order = np.lexsort((v_rb[movers], regret[movers]))
-        to_red[movers[order[:excess_red]]] = False
-    elif excess_blue > 0:
-        movers = np.flatnonzero(~prefers_red)
-        order = np.lexsort((v_rb[movers], -regret[movers]))
-        to_red[movers[order[:excess_blue]]] = True
-    color = np.full(n, 2)
-    color[v_r] = color[v_rb[to_red]] = 1
-    return _tree(spg, choice, color)
-
-
 def solve_cc_arb(spg: SpgGraph, alpha, *, minimize: bool = False
                  ) -> tuple[Arborescence | None, FlowAssignment | None, str]:
     """Answer the budgeted arborescence question with its one solver.
 
-    Two colors go to the partition rule ("rb"), any other count to the
-    flow network ("flow"); minimize asks for a minimum-weight tree from the
-    min-cost variant of the same solver. Returns the tree (None when the
-    budgets cannot be met), the flow run when there was one, and the
-    solver's name. The solvers are read from this module's namespace on
-    every call, so a wrapped or patched solver is the one that runs.
+    The flow network ("flow") answers at every number of colors; minimize
+    asks for a minimum-weight tree from its min-cost variant. Returns the
+    tree (None when the budgets cannot be met), the flow run (None when
+    `_ruled_out` settled the answer before any flow), and the solver's
+    name. The solvers are read from this module's namespace on every
+    call, so a wrapped or patched solver is the one that runs.
     """
-    if spg.q == 2:
-        tree = min_cc_rb_arb(spg, alpha) if minimize else cc_rb_arb(spg, alpha)
-        return tree, None, "rb"
     solve = min_cc_arb_flow_stats if minimize else cc_arb_flow_stats
     tree, stats = solve(spg, alpha)
     return tree, stats, "flow"

@@ -28,7 +28,11 @@ class ConstraintLengthMismatch(CCGraphError):
 
 
 class WrongColorCount(CCGraphError):
-    """A two-color solver was invoked on a graph whose q is not 2."""
+    """A two-color rule was invoked on a graph whose q is not 2.
+
+    Only the two-color oracles of `testkit` raise it; the solvers answer
+    at every number of colors.
+    """
 
 
 class LowerBoundTooLarge(CCGraphError):

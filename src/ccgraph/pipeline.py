@@ -1,8 +1,7 @@
 """End-to-end shortest-path-tree solving under color budgets.
 
 cc_spt and min_cc_spt run the whole chain: single-source distances, tight
-subgraph extraction, then the arborescence solver that `solve_cc_arb`
-picks for the tight subgraph.
+subgraph extraction, then `solve_cc_arb`'s flow network on that subgraph.
 Any arborescence of that subgraph is a shortest-path tree of the original
 graph, so feasibility and optimal weight transfer directly.
 """
@@ -37,8 +36,8 @@ def cc_spt(g: ColoredDigraph, source: int, alpha) -> SptResult | None:
     Returns None when distances are fine but no tree fits the budgets.
     Raises for the structural failures: a negative cycle reachable from
     the source, an unreachable vertex, or a zero-weight cycle among the
-    tight edges. The solver follows from the number of colors: rb for two,
-    flow otherwise; solver_used says which.
+    tight edges. The flow network answers at every number of colors;
+    solver_used names it: flow.
     """
     return _spt(g, source, alpha, minimize=False)
 
@@ -47,8 +46,8 @@ def min_cc_spt(g: ColoredDigraph, source: int, alpha) -> SptResult | None:
     """Minimum-weight budget-feasible shortest-path tree from source.
 
     Every tree here spans the same distances; minimality is over the sum
-    of tree edge weights. Fails like cc_spt; the solver is min_rb for two
-    colors and min_flow otherwise.
+    of tree edge weights. Fails like cc_spt; the solver is the min-cost
+    flow network at every number of colors, and solver_used is min_flow.
     """
     return _spt(g, source, alpha, minimize=True)
 

@@ -1,10 +1,12 @@
 """Reference implementations and instance generators for testing.
 
 Everything here is deliberately independent of the solvers it checks and
-shares no code with them. The oracles enumerate, never optimize, with one
-exception: `cc_arb_match` answers the budgeted arborescence question by a
+shares no code with them. The oracles enumerate, never optimize, with two
+exceptions. `cc_arb_match` answers the budgeted arborescence question by a
 Hopcroft-Karp bipartite matching (`hopcroft_karp` on a `BipartiteGraph`),
-a formulation no production solver uses. Generators are seeded and
+a formulation no production solver uses. `cc_rb_arb` and `min_cc_rb_arb`
+answer it at two colors by a direct partition rule, in plain Python.
+Generators are seeded and
 deterministic; corpus builders derive one sub-seed per instance so a
 corpus is reproducible from a single integer.
 """
@@ -22,7 +24,8 @@ import numpy as np
 from .arborescence import Arborescence
 from .constrained_path import (CcSpInstance, VccSpInstance,
                                VertexColoredDigraph)
-from .errors import InstanceTooLarge, TooManyArborescences
+from .errors import (InstanceTooLarge, TooManyArborescences,
+                     WrongColorCount)
 from .graph import ColoredDigraph, ColorConstraint
 from .spg import SpgGraph
 
@@ -158,6 +161,110 @@ def cc_arb_match(spg: SpgGraph, alpha) -> Arborescence | None:
         return None
     return _arb_from_choice(spg.q, colors, weights, spg.root,
                             {v: first[v][i] for v, (i, _) in matching.items()})
+
+
+@dataclass(frozen=True)
+class RbPartition:
+    """How the two-color rule classifies the non-root vertices.
+
+    v_r and v_b are the vertices with in-edges of only the first or only
+    the second color; v_rb can go either way.
+    """
+
+    v_r: tuple[int, ...]
+    v_b: tuple[int, ...]
+    v_rb: tuple[int, ...]
+
+
+def _rb_classes(spg: SpgGraph, minimize: bool = False
+                ) -> tuple[RbPartition, list[int], dict[int, list]]:
+    """The two-color rule's view of the tight subgraph: the partition, the
+    non-root vertices with no in-edge, and edge[i][v], v's in-edge of
+    color i, the smallest id or, with minimize, the lightest and then the
+    smallest id (None when v has none). Raises WrongColorCount unless q
+    is 2."""
+    if spg.q != 2:
+        raise WrongColorCount("the two-color rule needs exactly 2 colors, "
+                              f"got {spg.q}")
+    colors, weights = spg.graph.colors.tolist(), spg.graph.weights.tolist()
+    edge = {1: [None] * spg.n, 2: [None] * spg.n}
+    v_r, v_b, v_rb, unrooted = [], [], [], []
+    for v, ids in enumerate(spg.in_edge_ids()):
+        if v == spg.root:
+            continue
+        for e in ids:
+            mine = edge[colors[e]]
+            if mine[v] is None or (minimize and weights[e] < weights[mine[v]]):
+                mine[v] = e
+        red, blue = edge[1][v] is not None, edge[2][v] is not None
+        (v_rb if red and blue else v_r if red else v_b if blue
+         else unrooted).append(v)
+    return RbPartition(tuple(v_r), tuple(v_b), tuple(v_rb)), unrooted, edge
+
+
+def rb_partition(spg: SpgGraph) -> RbPartition:
+    """Partition non-root vertices by which of two colors can feed them."""
+    return _rb_classes(spg)[0]
+
+
+def _rb_tree(spg: SpgGraph, edge: dict[int, list], red: set[int]
+             ) -> Arborescence:
+    colors, weights = spg.graph.colors.tolist(), spg.graph.weights.tolist()
+    return _arb_from_choice(2, colors, weights, spg.root,
+                            {v: edge[1 if v in red else 2][v]
+                             for v in range(spg.n) if v != spg.root})
+
+
+def cc_rb_arb(spg: SpgGraph, alpha) -> Arborescence | None:
+    """Two-color budgeted arborescence by the partition rule.
+
+    Vertices reachable only in one color are forced; the flexible ones are
+    assigned to the first color until its budget is full (ascending vertex
+    id) and to the second color after that, and every vertex takes its
+    smallest-id edge of its color. Infeasible exactly when a vertex has no
+    in-edge, a forced class overflows its budget or the flexible class
+    overflows the combined slack.
+    """
+    p, unrooted, edge = _rb_classes(spg)
+    alpha = ColorConstraint.of(alpha)
+    alpha.require_length(2)
+    a1, a2 = alpha.clamped(spg.n - 1)
+    slack = a1 - len(p.v_r) + a2 - len(p.v_b)
+    if (unrooted or len(p.v_r) > a1 or len(p.v_b) > a2
+            or len(p.v_rb) > slack):
+        return None
+    return _rb_tree(spg, edge, {*p.v_r, *p.v_rb[:a1 - len(p.v_r)]})
+
+
+def min_cc_rb_arb(spg: SpgGraph, alpha) -> Arborescence | None:
+    """Minimum-weight two-color budgeted arborescence by a regret rule.
+
+    Every vertex takes its lightest edge of a color, the smallest id among
+    equals. Start from every vertex's cheaper side (the first color on a
+    tie), then move the flexible vertices with the smallest regret across
+    until both budgets hold. Regret ties break on vertex id.
+    """
+    p, unrooted, edge = _rb_classes(spg, minimize=True)
+    alpha = ColorConstraint.of(alpha)
+    alpha.require_length(2)
+    need = spg.n - 1
+    a1, a2 = alpha.clamped(need)
+    if (unrooted or a1 + a2 < need or len(p.v_r) > a1
+            or len(p.v_b) > a2):
+        return None
+    weights = spg.graph.weights.tolist()
+    regret = {v: weights[edge[2][v]] - weights[edge[1][v]]
+              for v in p.v_rb}
+    to_red = {v for v in p.v_rb if regret[v] >= 0}
+    excess_red = len(p.v_r) + len(to_red) - a1
+    excess_blue = len(p.v_b) + len(p.v_rb) - len(to_red) - a2
+    if excess_red > 0:
+        movers = sorted(to_red, key=lambda v: (regret[v], v))
+        to_red -= set(movers[:excess_red])
+    elif excess_blue > 0:
+        movers = sorted(set(p.v_rb) - to_red, key=lambda v: (-regret[v], v))
+        to_red |= set(movers[:excess_blue])
+    return _rb_tree(spg, edge, {*p.v_r, *to_red})
 
 
 def enumerate_spg_arborescences(spg: SpgGraph, cap: int = 10 ** 6

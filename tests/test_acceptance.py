@@ -17,7 +17,7 @@ from random import Random
 import pytest
 
 from ccgraph.arborescence import (cc_arb_flow, cc_arb_flow_stats,
-                                  cc_rb_arb, min_cc_arb_flow, min_cc_rb_arb)
+                                  min_cc_arb_flow, solve_cc_arb)
 from ccgraph.constrained_path import (CcSpInstance, VccSpInstance,
                                       cc_sp_decide, cc_to_vcc, vcc_to_cc)
 from ccgraph.errors import LowerBoundTooLarge, NonPositiveCycle
@@ -26,13 +26,13 @@ from ccgraph.pipeline import at_least_transform, cc_spt, verify_spt
 from ccgraph.spg import SpgGraph, build_spg, sssp
 from ccgraph.testkit import (brute_cc_arb_general, brute_cc_sp_decide,
                              brute_min_cc_arb, brute_vcc_sp_decide,
-                             cc_arb_match, cc_sp_corpus, dag_corpus,
-                             enumerate_spg_arborescences, enumerate_st_paths,
-                             gen_hamiltonian_gadget, gen_layered_dag,
-                             gen_random_digraph,
+                             cc_arb_match, cc_rb_arb, cc_sp_corpus,
+                             dag_corpus, enumerate_spg_arborescences,
+                             enumerate_st_paths, gen_hamiltonian_gadget,
+                             gen_layered_dag, gen_random_digraph,
                              gen_random_positive_cycle_digraph,
-                             has_hamiltonian_path, positive_cycle_corpus,
-                             random_alpha, vcc_corpus)
+                             has_hamiltonian_path, min_cc_rb_arb,
+                             positive_cycle_corpus, random_alpha, vcc_corpus)
 
 
 @contextmanager
@@ -150,6 +150,11 @@ def test_criterion_03_red_blue_fast_path(capsys):
         assert tree is not None
         assert sum(tree.color_counts) == big.n - 1
         assert elapsed < 10.0
+        # the production solver at two colors is the flow network
+        t0 = time.monotonic()
+        flow_tree, _, solver = solve_cc_arb(spg, (big.n - 1, big.n - 1))
+        assert time.monotonic() - t0 < 10.0
+        assert solver == "flow" and flow_tree == tree
 
 
 def test_criterion_04_pipeline_soundness(capsys):
@@ -342,8 +347,7 @@ def test_criterion_10_zero_cycle_refusal(capsys, monkeypatch, tmp_path):
 
     with reported(capsys, 10):
         # where solve_cc_arb looks the production solvers up
-        for name in ("cc_arb_flow_stats", "cc_rb_arb",
-                     "min_cc_arb_flow_stats", "min_cc_rb_arb"):
+        for name in ("cc_arb_flow_stats", "min_cc_arb_flow_stats"):
             monkeypatch.setattr(arborescence_mod, name, boom)
         for i in range(50):
             g, alpha = zero_cycle_instance(i)

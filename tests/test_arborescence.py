@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccgraph import (Arborescence, ColoredDigraph, SpgGraph, WrongColorCount,
-                     cc_arb_flow, cc_arb_flow_stats, cc_rb_arb,
-                     min_cc_arb_flow, min_cc_arb_flow_stats, min_cc_rb_arb,
-                     rb_partition, solve_cc_arb, unrooted_vertices,
-                     verify_arborescence)
+                     cc_arb_flow, cc_arb_flow_stats, min_cc_arb_flow,
+                     min_cc_arb_flow_stats, min_cc_spt, solve_cc_arb,
+                     unrooted_vertices, verify_arborescence)
 from ccgraph.flow import _choice
 from ccgraph.testkit import (brute_cc_arb_general, brute_min_cc_arb,
-                             cc_arb_match, gen_layered_dag, gen_random_dag)
+                             cc_arb_match, cc_rb_arb, gen_layered_dag,
+                             gen_random_dag, min_cc_rb_arb, rb_partition)
 
 ALL_DECIDERS = [cc_arb_flow, cc_arb_match]
 
@@ -64,12 +64,13 @@ def test_unrooted_vertex_means_infeasible():
     assert cc_arb_match(spg, (5,)) is None
 
 
-def test_solve_cc_arb_picks_by_color_count(diamond, diamond_spg):
+def test_solve_cc_arb_sends_two_colors_to_flow(diamond, diamond_spg):
     tree, stats, solver = solve_cc_arb(diamond_spg, (2, 1))
-    assert solver == "rb" and stats is None
-    assert tree == cc_rb_arb(diamond_spg, (2, 1))
+    assert solver == "flow" and stats.value == 3
+    assert tree == cc_arb_flow(diamond_spg, (2, 1))
     tree, stats, solver = solve_cc_arb(diamond_spg, (2, 1), minimize=True)
-    assert solver == "rb" and tree == min_cc_rb_arb(diamond_spg, (2, 1))
+    assert solver == "flow" and tree == min_cc_arb_flow(diamond_spg, (2, 1))
+    assert stats.total_cost == tree.total_weight
     spg3 = spg_of(diamond.edge_tuples(), 4, 3)
     tree, stats, solver = solve_cc_arb(spg3, (2, 1, 0))
     assert solver == "flow" and stats.value == 3
@@ -187,6 +188,29 @@ def test_min_rb_tied_regrets_cross_in_vertex_order():
     assert (arb.color_counts, arb.total_weight) == ((2, 1), 5)
 
 
+def test_min_tree_tie_break_is_the_class_rule():
+    # both vertices prefer color 1 by the same regret, and one must cross:
+    # the regret rule moves the smaller id, vertex 1, to color 2, while
+    # the network's classes differ by cost rank, and the min-cost flow
+    # gives color 1 to vertex 1's class; both trees weigh 2
+    edges = [(0, 1, 1, 0), (0, 1, 2, 1), (0, 2, 1, 1), (1, 2, 2, 2)]
+    spg = spg_of(edges, 3, 2)
+    flow = min_cc_arb_flow(spg, (1, 2))
+    rule = min_cc_rb_arb(spg, (1, 2))
+    assert flow.parent_edge == {1: 0, 2: 3}
+    assert rule.parent_edge == {1: 1, 2: 2}
+    assert flow.total_weight == rule.total_weight == 2
+    # the same choice on a graph whose edges are all tight from 0
+    g = ColoredDigraph(3, 2, [(0, 1, 1, 0), (0, 1, 2, 0), (0, 2, 1, 2),
+                              (1, 2, 2, 2)])
+    spt = min_cc_spt(g, 0, (1, 2))
+    assert spt.spg_edge_count == 4 and spt.solver_used == "min_flow"
+    assert spt.tree.parent_edge == {1: 0, 2: 3}
+    rule = min_cc_rb_arb(SpgGraph.from_dag(g, 0), (1, 2))
+    assert rule.parent_edge == {1: 1, 2: 2}
+    assert spt.tree.total_weight == rule.total_weight == 2
+
+
 @pytest.mark.parametrize("storage", ["list", "array"])
 def test_min_rb_regret_past_int64(storage):
     # vertex 1 would pay 2^63 to cross, which wraps in int64; vertex 2
@@ -256,9 +280,11 @@ def test_solvers_take_the_documented_edge_of_each_color(case):
             rank = (lambda f: (int(g.weights[f]), f)) if minimize else None
             assert e == min(same, key=rank), (solver.__name__, v)
     if spg.q == 2:
-        for a, b in ((cc_arb_flow, cc_rb_arb),
-                     (min_cc_arb_flow, min_cc_rb_arb)):
-            assert (trees[a] is None) == (trees[b] is None)
+        assert trees[cc_arb_flow] == trees[cc_rb_arb]
+        assert (cc_arb_match(spg, alpha) is None) == (trees[cc_rb_arb]
+                                                     is None)
+        assert (trees[min_cc_arb_flow] is None) == (trees[min_cc_rb_arb]
+                                                   is None)
         if trees[min_cc_rb_arb] is not None:
             assert (trees[min_cc_rb_arb].total_weight
                     == trees[min_cc_arb_flow].total_weight)

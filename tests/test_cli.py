@@ -82,8 +82,8 @@ def test_spt_json_output(diamond_file, tmp_path):
     doc = json.loads(out)
     assert doc["command"] == "cc-spt" and doc["feasible"] is True
     assert doc["total_weight"] == 3 and doc["color_counts"] == [2, 1]
-    assert doc["solver"] == "rb" and doc["tight_edges"] == 4
-    assert "stats" not in doc
+    assert doc["solver"] == "flow" and doc["tight_edges"] == 4
+    assert doc["stats"]["flow_value"] == 3
     p = tmp_path / "diamond3.ccg"
     p.write_text(DIAMOND3)
     code, out, _ = cli("cc-spt", "--json", "-s", "0", "-a", "2,1,0", str(p))
@@ -173,7 +173,7 @@ def test_arb_on_dag(diamond_file, diamond):
     code, out, _ = cli("cc-arb", "--json", "-s", "0", "-a", "2,1",
                        diamond_file)
     doc = json.loads(out)
-    assert code == 0 and doc["solver"] == "rb"
+    assert code == 0 and doc["solver"] == "flow"
     printed = {r["vertex"]: r["edge"] for r in doc["tree"]}
     spg = SpgGraph.from_dag(diamond, 0)
     for solver in (cc_arb_flow, cc_arb_match):
@@ -197,7 +197,7 @@ def test_min_arb(tmp_path):
     code, out, _ = cli("min-cc-arb", "--json", "-s", "0", "-a", "1,2",
                        str(p))
     doc = json.loads(out)
-    assert doc["total_weight"] == 7 and doc["solver"] == "rb"
+    assert doc["total_weight"] == 7 and doc["solver"] == "flow"
     g = ColoredDigraph(4, 2, [(0, 1, 1, 1), (0, 2, 2, 1), (1, 3, 1, 1),
                               (2, 3, 2, 5)])
     assert min_cc_arb_flow(SpgGraph.from_dag(g, 0), (1, 2)).total_weight == 7

@@ -12,13 +12,14 @@ from ccgraph import (Arborescence, CcSpInstance, ColorConstraint,
                      LowerBoundTooLarge, NegativeCycleReachable,
                      NonPositiveCycle, SpgGraph, SptResult,
                      UnreachableVertex, VccSpInstance, VertexColoredDigraph,
-                     at_least_transform, cc_arb_flow, cc_rb_arb, cc_spt,
-                     min_cc_arb_flow, min_cc_rb_arb, min_cc_spt, restrict_to,
+                     at_least_transform, cc_arb_flow, cc_spt,
+                     min_cc_arb_flow, min_cc_spt, restrict_to,
                      verify_arborescence, verify_spt)
 from ccgraph import spg as spg_module
-from ccgraph.testkit import (brute_min_cc_arb, cc_arb_match,
+from ccgraph.testkit import (brute_min_cc_arb, cc_arb_match, cc_rb_arb,
                              enumerate_spg_arborescences, gen_layered_dag,
-                             gen_random_positive_cycle_digraph)
+                             gen_random_positive_cycle_digraph,
+                             min_cc_rb_arb)
 from ccgraph.spg import build_spg, sssp
 
 
@@ -30,7 +31,7 @@ def test_diamond_spt(diamond):
     assert res.tree.total_weight == 3
     assert res.distances.dist == [0, 1, 1, 2]
     assert res.spg_edge_count == 4
-    assert res.solver_used == "rb"
+    assert res.solver_used == "flow"
     assert verify_spt(diamond, 0, res, (2, 1)) == []
 
 
@@ -40,8 +41,8 @@ def test_diamond_spt_infeasible(diamond):
 
 
 def test_spt_solver_selection(diamond):
-    # the number of colors picks the solver; there is no way to choose one
-    assert cc_spt(diamond, 0, (2, 1)).solver_used == "rb"
+    # one solver at every number of colors; there is no way to choose one
+    assert cc_spt(diamond, 0, (2, 1)).solver_used == "flow"
     q3 = ColoredDigraph(2, 3, [(0, 1, 3, 1)])
     assert cc_spt(q3, 0, (0, 0, 1)).solver_used == "flow"
     assert min_cc_spt(q3, 0, (0, 0, 1)).solver_used == "min_flow"
@@ -52,13 +53,13 @@ def test_spt_solver_selection(diamond):
 
 
 def test_spt_flow_records_stats(diamond):
-    # the diamond with a third, unused color goes to the flow solver
+    # the diamond with a third, unused color: the same tree and flow run
     diamond3 = ColoredDigraph(4, 3, diamond.edge_tuples())
     res = cc_spt(diamond3, 0, (2, 1, 0))
     assert res.solver_used == "flow"
     assert res.tree.parent_edge == {1: 0, 2: 1, 3: 2}
     assert res.phase_stats is not None and res.phase_stats.value == 3
-    assert cc_spt(diamond, 0, (2, 1)).phase_stats is None
+    assert cc_spt(diamond, 0, (2, 1)).phase_stats.value == 3
 
 
 def test_spt_vacuous_budget(diamond):
@@ -69,8 +70,8 @@ def test_spt_vacuous_budget(diamond):
 def test_min_spt_diamond(diamond_min):
     cheap = min_cc_spt(diamond_min, 0, (2, 1))
     assert cheap.tree.total_weight == 3
-    assert cheap.solver_used == "min_rb"
-    # the same instance with a third, unused color goes to min-cost flow
+    assert cheap.solver_used == "min_flow"
+    # the same instance with a third, unused color: the same minimum
     diamond_min3 = ColoredDigraph(4, 3, diamond_min.edge_tuples())
     flow = min_cc_spt(diamond_min3, 0, (2, 1, 0))
     assert flow.tree.total_weight == 3
