@@ -1,9 +1,7 @@
 """Shortest path trees and arborescences under per-color edge budgets."""
 
-from .arborescence import (Arborescence, cc_arb_flow, cc_arb_flow_stats,
-                           min_cc_arb_flow, min_cc_arb_flow_stats,
-                           solve_cc_arb, unrooted_vertices,
-                           verify_arborescence)
+from .arborescence import (Arborescence, cc_arb_flow, min_cc_arb_flow,
+                           solve_cc_arb, verify_arborescence)
 from .constrained_path import (CcSpInstance, ReductionCertificate,
                                VccSpInstance, VertexColoredDigraph,
                                cc_sp_decide, cc_to_vcc, vcc_to_cc)

@@ -3,10 +3,11 @@
 Every non-root vertex needs exactly one in-edge, so on a DAG rooted at r
 a set of per-vertex in-edge choices is automatically an arborescence; the
 only question is whether the colors of the chosen edges fit the budgets.
-There is one solver per question, at any number of colors: a flow network
-decides which color each vertex takes its in-edge from (`cc_arb_flow`),
-and its min-cost variant answers the minimum-weight question
-(`min_cc_arb_flow`). `solve_cc_arb` picks between the two by `minimize`.
+There is one solve body, `solve_cc_arb`, at any number of colors: a flow
+network decides which color each vertex takes its in-edge from, and its
+min-cost variant answers the minimum-weight question. A tree exists
+exactly when the flow reaches n-1, so the flow decides every "yes" and
+every "no". `cc_arb_flow` and `min_cc_arb_flow` return its tree alone.
 
 Tie-breaking is uniform and lives in one place, `flow._choice`: whenever
 a vertex may take its in-edge from a color in several ways, the edge with
@@ -98,12 +99,6 @@ class Arborescence:
                 f"total_weight={self.total_weight!r})")
 
 
-def unrooted_vertices(spg: SpgGraph) -> list[int]:
-    """Non-root vertices with no in-edge at all; non-empty means infeasible."""
-    deg = np.bincount(spg.graph.heads[spg.edge_ids], minlength=spg.n)
-    return [int(v) for v in np.flatnonzero(deg == 0) if v != spg.root]
-
-
 def _network_solution(spg: SpgGraph, H, assignment) -> Arborescence:
     """The tree a full flow selects: the members of each class, in
     ascending id, take the colors whose arcs into the class carry flow, in
@@ -131,71 +126,33 @@ def _network_solution(spg: SpgGraph, H, assignment) -> Arborescence:
         sum(w[edges].tolist()))
 
 
-def _ruled_out(spg: SpgGraph, alpha: ColorConstraint) -> bool:
-    """True when the budgets are too small in total or a vertex has no
-    in-edge, so that no flow needs to run."""
-    need = spg.n - 1
-    return (sum(min(a, need) for a in alpha) < need
-            or bool(unrooted_vertices(spg)))
-
-
 def cc_arb_flow(spg: SpgGraph, alpha) -> Arborescence | None:
     """Color-budgeted arborescence via maximum flow; None if infeasible."""
-    arb, _ = cc_arb_flow_stats(spg, alpha)
-    return arb
-
-
-def cc_arb_flow_stats(spg: SpgGraph, alpha
-                      ) -> tuple[Arborescence | None, FlowAssignment | None]:
-    """Like cc_arb_flow but also returns the instrumented flow run."""
-    alpha = ColorConstraint.of(alpha)
-    alpha.require_length(spg.q)
-    if _ruled_out(spg, alpha):
-        return None, None
-    H = build_arb_network(spg, alpha)
-    assignment = dinitz_max_flow(H)
-    if assignment.value < spg.n - 1:
-        return None, assignment
-    return _network_solution(spg, H, assignment), assignment
+    return solve_cc_arb(spg, alpha)[0]
 
 
 def min_cc_arb_flow(spg: SpgGraph, alpha) -> Arborescence | None:
     """Minimum-weight color-budgeted arborescence via min-cost flow."""
-    arb, _ = min_cc_arb_flow_stats(spg, alpha)
-    return arb
-
-
-def min_cc_arb_flow_stats(spg: SpgGraph, alpha
-                          ) -> tuple[Arborescence | None,
-                                     FlowAssignment | None]:
-    """Like min_cc_arb_flow but also returns the flow run."""
-    alpha = ColorConstraint.of(alpha)
-    alpha.require_length(spg.q)
-    if _ruled_out(spg, alpha):
-        return None, None
-    H = build_arb_network(spg, alpha, minimize=True)
-    assignment = min_cost_max_flow(H)
-    if assignment.value < spg.n - 1:
-        return None, assignment
-    arb = _network_solution(spg, H, assignment)
-    assert arb.total_weight == assignment.total_cost
-    return arb, assignment
+    return solve_cc_arb(spg, alpha, minimize=True)[0]
 
 
 def solve_cc_arb(spg: SpgGraph, alpha, *, minimize: bool = False
-                 ) -> tuple[Arborescence | None, FlowAssignment | None, str]:
-    """Answer the budgeted arborescence question with its one solver.
-
-    The flow network ("flow") answers at every number of colors; minimize
-    asks for a minimum-weight tree from its min-cost variant. Returns the
-    tree (None when the budgets cannot be met), the flow run (None when
-    `_ruled_out` settled the answer before any flow), and the solver's
-    name. The solvers are read from this module's namespace on every
-    call, so a wrapped or patched solver is the one that runs.
-    """
-    solve = min_cc_arb_flow_stats if minimize else cc_arb_flow_stats
-    tree, stats = solve(spg, alpha)
-    return tree, stats, "flow"
+                 ) -> tuple[Arborescence | None, FlowAssignment]:
+    """The one solve body: the class network and its maximum flow, or with
+    minimize its min-cost flow, for a minimum-weight tree. Returns the
+    tree, None when the flow falls short of n-1, and the flow run. Budgets
+    too small in total are capped by the source arcs, and a vertex with no
+    in-edge forms a class with no color arc, so the flow decides every
+    answer. The network and flow functions are read from this module's
+    namespace on every call, so a wrapped or patched one is the one that
+    runs."""
+    H = build_arb_network(spg, alpha, minimize=minimize)
+    run = (min_cost_max_flow if minimize else dinitz_max_flow)(H)
+    if run.value < spg.n - 1:
+        return None, run
+    tree = _network_solution(spg, H, run)
+    assert not minimize or tree.total_weight == run.total_cost
+    return tree, run
 
 
 def verify_arborescence(g: ColoredDigraph, root: int, tree: Arborescence,

@@ -94,8 +94,8 @@ _TREE_ROW = ('{"vertex": %d, "parent": %d, "edge": %d, "color": %d, '
 _DISTANCE_ROW = '{"vertex": %d, "distance": %d}'
 
 
-def _emit_tree(args, out, g, tree, *, command, distances=None,
-               spg_edges=None, solver=None, stats=None, back=None) -> int:
+def _emit_tree(args, out, g, tree, *, command, solver, stats,
+               distances=None, spg_edges=None, back=None) -> int:
     vertices, edges = tree.vertices.tolist(), tree.edges
     t, _, c, w = g.columns()
     parents, colors, weights = (col[edges].tolist() for col in (t, c, w))
@@ -108,9 +108,8 @@ def _emit_tree(args, out, g, tree, *, command, distances=None,
         fields = [("command", json.dumps(command)), ("feasible", "true"),
                   ("total_weight", json.dumps(tree.total_weight)),
                   ("color_counts", json.dumps(list(tree.color_counts))),
-                  ("tree", _json_list(_TREE_ROW, rows))]
-        if solver is not None:
-            fields.append(("solver", json.dumps(solver)))
+                  ("tree", _json_list(_TREE_ROW, rows)),
+                  ("solver", json.dumps(solver))]
         if distances is not None:
             at = np.flatnonzero(distances.reached).tolist()
             if back:
@@ -119,12 +118,10 @@ def _emit_tree(args, out, g, tree, *, command, distances=None,
                 at, distances.values[distances.reached].tolist()))))
         if spg_edges is not None:
             fields.append(("tight_edges", json.dumps(spg_edges)))
-        if stats is not None:
-            fields.append(("stats", json.dumps({
-                "flow_value": stats.value,
-                "phases": stats.phases_executed,
-                "advances": stats.advances, "retreats": stats.retreats,
-                "augments": stats.augments})))
+        fields.append(("stats", json.dumps({
+            "flow_value": stats.value, "phases": stats.phases_executed,
+            "advances": stats.advances, "retreats": stats.retreats,
+            "augments": stats.augments})))
         if back is not None:
             fields.append(("restricted_to", json.dumps(len(back))))
         out.write("{" + ", ".join(f'"{k}": {v}' for k, v in fields)
@@ -183,7 +180,7 @@ def _cmd_arb(args, out, err, minimize: bool) -> int:
     alpha = _parse_alpha(args.alpha)
     spg = SpgGraph.from_dag(g, root)
     command = "min-cc-arb" if minimize else "cc-arb"
-    tree, stats, solver = solve_cc_arb(spg, alpha, minimize=minimize)
+    tree, stats = solve_cc_arb(spg, alpha, minimize=minimize)
     if tree is None:
         return _emit_no(args, out, command)
     if args.verify:
@@ -192,7 +189,7 @@ def _cmd_arb(args, out, err, minimize: bool) -> int:
             for v in bad:
                 err.write(f"verification: {v.kind}: {v.message}\n")
             return 3
-    return _emit_tree(args, out, g, tree, command=command, solver=solver,
+    return _emit_tree(args, out, g, tree, command=command, solver="flow",
                       stats=stats)
 
 

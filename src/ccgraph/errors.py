@@ -39,35 +39,35 @@ class LowerBoundTooLarge(CCGraphError):
     """Lower bounds sum to more than n-1; no spanning arborescence can satisfy them."""
 
 
-class NegativeCycleReachable(CCGraphError):
-    """A negative-weight cycle is reachable from the source.
+class _CycleError(CCGraphError):
+    """A cycle with its witness: `vertices` lists it as v1, ..., vk with
+    edges v1->v2->...->vk->v1, and `edge_ids` the corresponding edge
+    ordinals. Each subclass names its kind of cycle in `_what`."""
 
-    `vertices` lists the cycle as v1, ..., vk with edges v1->v2->...->vk->v1;
-    `edge_ids` lists the corresponding edge ordinals.
-    """
+    _what = "cycle"
 
     def __init__(self, vertices: list[int], edge_ids: list[int]):
         self.vertices = vertices
         self.edge_ids = edge_ids
-        super().__init__(f"negative-weight cycle reachable from source: {vertices}")
+        super().__init__(f"{self._what}: {vertices}")
 
 
-class NonPositiveCycle(CCGraphError):
+class NegativeCycleReachable(_CycleError):
+    """A negative-weight cycle is reachable from the source."""
+
+    _what = "negative-weight cycle reachable from source"
+
+
+class NonPositiveCycle(_CycleError):
     """A zero-weight cycle lies on shortest paths (the tight subgraph is cyclic)."""
 
-    def __init__(self, vertices: list[int], edge_ids: list[int]):
-        self.vertices = vertices
-        self.edge_ids = edge_ids
-        super().__init__(f"zero-weight cycle on shortest paths: {vertices}")
+    _what = "zero-weight cycle on shortest paths"
 
 
-class NotAcyclic(CCGraphError):
+class NotAcyclic(_CycleError):
     """An operation requiring a DAG was given a cyclic graph."""
 
-    def __init__(self, vertices: list[int], edge_ids: list[int]):
-        self.vertices = vertices
-        self.edge_ids = edge_ids
-        super().__init__(f"graph contains a directed cycle: {vertices}")
+    _what = "graph contains a directed cycle"
 
 
 class UnreachableVertex(CCGraphError):

@@ -85,6 +85,7 @@ class ColoredDigraph:
         return len(self.tails)
 
     def edge(self, j: int) -> EdgeRecord:
+        j = _vertex("edge", j, self.m, kind="edge id")
         return EdgeRecord(int(self.tails[j]), int(self.heads[j]),
                           int(self.colors[j]), int(self.weights[j]), j)
 
@@ -159,16 +160,17 @@ def _integers(values) -> np.ndarray:
     return _int_array(values)
 
 
-def _vertex(what: str, v, n: int | None = None) -> int:
+def _vertex(what: str, v, n: int | None = None, kind: str = "vertex id"
+            ) -> int:
     """A vertex id `v`, a Python int or a numpy integer, as a Python int.
 
     Anything else, a bool or numpy bool included (numpy would index with
     it as a mask), raises ValueError naming `what`; so does an id outside
     0..n-1, unless n is None, for callers that report that case
-    themselves.
+    themselves; `kind` names the sort of id, such as an edge id.
     """
     if type(v) is not int and not isinstance(v, np.integer):
-        raise ValueError(f"{what} {v!r} is not an integer vertex id")
+        raise ValueError(f"{what} {v!r} is not an integer {kind}")
     if n is not None and not 0 <= v < n:
         raise ValueError(f"{what} {v} out of range")
     return int(v)

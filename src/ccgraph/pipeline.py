@@ -1,9 +1,10 @@
 """End-to-end shortest-path-tree solving under color budgets.
 
 cc_spt and min_cc_spt run the whole chain: single-source distances, tight
-subgraph extraction, then `solve_cc_arb`'s flow network on that subgraph.
-Any arborescence of that subgraph is a shortest-path tree of the original
-graph, so feasibility and optimal weight transfer directly.
+subgraph extraction, then `solve_cc_arb`, whose flow alone decides every
+answer on that subgraph. Any arborescence of that subgraph is a
+shortest-path tree of the original graph, so feasibility and optimal
+weight transfer directly.
 """
 
 from __future__ import annotations
@@ -58,12 +59,12 @@ def _spt(g: ColoredDigraph, source: int, alpha, *, minimize: bool
     alpha.require_length(g.q)
     distances = sssp(g, source)
     spg = build_spg(g, source, distances)
-    tree, stats, solver = solve_cc_arb(spg, alpha, minimize=minimize)
+    tree, stats = solve_cc_arb(spg, alpha, minimize=minimize)
     if tree is None:
         return None
     result = SptResult(tree=tree, distances=distances,
                        spg_edge_count=spg.edge_count,
-                       solver_used=("min_" if minimize else "") + solver,
+                       solver_used="min_flow" if minimize else "flow",
                        phase_stats=stats)
     if __debug__:
         bad = verify_spt(g, source, result, alpha)

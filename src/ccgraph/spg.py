@@ -42,7 +42,7 @@ class DistanceTable:
     `dist` is the same table as a list, with None (UNREACHABLE) for an
     unreachable vertex. The constructor takes that list; an entry other
     than None or an integer, such as a bool, a float or a string, raises
-    ValueError.
+    ValueError, as `distance` and `reachable` do for a bad vertex id.
     """
 
     __slots__ = ("source", "values", "reached")
@@ -73,10 +73,11 @@ class DistanceTable:
         return out
 
     def distance(self, v: int) -> int | None:
+        v = _vertex("vertex", v, len(self.values))
         return int(self.values[v]) if self.reached[v] else UNREACHABLE
 
     def reachable(self, v: int) -> bool:
-        return bool(self.reached[v])
+        return bool(self.reached[_vertex("vertex", v, len(self.values))])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DistanceTable):
@@ -364,17 +365,17 @@ class SpgGraph:
 
     Stores the owning graph plus the ordinals of surviving edges, so edge
     ids seen by solvers always refer to the original edge sequence.
-    `topo_order` is a valid topological order of the subgraph, the
-    canonical one of `_kahn`; it is computed on first read (no solver
-    needs it) unless the constructor was given one. The root must be an
-    integer vertex id and the edge ids integer ordinals of the graph's
-    edges (ValueError otherwise).
+    `topo_order` is a topological order of the subgraph, the canonical
+    one of `_kahn`, computed on first read (no solver needs it); only
+    `build_spg` and `from_dag`, which have checked an order already, set
+    it beforehand. The root must be an integer vertex id and the edge ids
+    integer ordinals of the graph's edges (ValueError otherwise).
     """
 
     __slots__ = ("graph", "root", "edge_ids", "_topo_order", "_in_ids")
 
     def __init__(self, graph: ColoredDigraph, root: int,
-                 edge_ids: np.ndarray, topo_order: list[int] | None = None):
+                 edge_ids: np.ndarray):
         try:
             ids = _integers(edge_ids)
         except TypeError as exc:
@@ -384,7 +385,7 @@ class SpgGraph:
         self.graph = graph
         self.root = _vertex("root", root, graph.n)
         self.edge_ids = ids
-        self._topo_order = topo_order
+        self._topo_order = None
         self._in_ids = None
 
     @property
@@ -430,7 +431,9 @@ class SpgGraph:
             if not res.acyclic:
                 raise NotAcyclic(res.cycle_vertices, res.cycle_edges)
             order = res.topo_order
-        return cls(graph, root, np.arange(graph.m, dtype=np.int64), order)
+        spg = cls(graph, root, np.arange(graph.m, dtype=np.int64))
+        spg._topo_order = order
+        return spg
 
     def in_edge_ids(self) -> list[list[int]]:
         """Per-vertex incoming subgraph edge ordinals, ascending."""
@@ -472,13 +475,14 @@ def build_spg(g: ColoredDigraph, source: int, d: DistanceTable) -> SpgGraph:
         raise UnreachableVertex(int(np.argmin(d.reached)))
     via, at = _relaxations(g, d.values)
     tight = np.flatnonzero(via == at)
+    spg = SpgGraph(g, source, tight)
     w = g.columns()[3]
-    if g.m == 0 or (w.min() >= 0 and not (w[tight] == 0).any()):
-        return SpgGraph(g, source, tight)
-    res = _kahn(g.n, tight.tolist(), g.tails.tolist(), g.heads.tolist())
-    if not res.acyclic:
-        raise NonPositiveCycle(res.cycle_vertices, res.cycle_edges)
-    return SpgGraph(g, source, tight, res.topo_order)
+    if g.m and (w.min() < 0 or (w[tight] == 0).any()):
+        res = _kahn(g.n, tight.tolist(), g.tails.tolist(), g.heads.tolist())
+        if not res.acyclic:
+            raise NonPositiveCycle(res.cycle_vertices, res.cycle_edges)
+        spg._topo_order = res.topo_order
+    return spg
 
 
 def _relaxations(g: ColoredDigraph, dist: Sequence[int]

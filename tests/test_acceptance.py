@@ -16,8 +16,7 @@ from random import Random
 
 import pytest
 
-from ccgraph.arborescence import (cc_arb_flow, cc_arb_flow_stats,
-                                  min_cc_arb_flow, solve_cc_arb)
+from ccgraph.arborescence import cc_arb_flow, min_cc_arb_flow, solve_cc_arb
 from ccgraph.constrained_path import (CcSpInstance, VccSpInstance,
                                       cc_sp_decide, cc_to_vcc, vcc_to_cc)
 from ccgraph.errors import LowerBoundTooLarge, NonPositiveCycle
@@ -152,9 +151,9 @@ def test_criterion_03_red_blue_fast_path(capsys):
         assert elapsed < 10.0
         # the production solver at two colors is the flow network
         t0 = time.monotonic()
-        flow_tree, _, solver = solve_cc_arb(spg, (big.n - 1, big.n - 1))
+        flow_tree, _ = solve_cc_arb(spg, (big.n - 1, big.n - 1))
         assert time.monotonic() - t0 < 10.0
-        assert solver == "flow" and flow_tree == tree
+        assert flow_tree == tree
 
 
 def test_criterion_04_pipeline_soundness(capsys):
@@ -189,7 +188,7 @@ def test_criterion_05_flow_phase_bound_and_scaling(capsys):
                 g = gen_layered_dag(n, 3 * n, q, 505_000 + idx)
                 spg = SpgGraph.from_dag(g, 0, topo_order=list(range(n)))
                 alpha = random_alpha(rng, q, n - 1, 2 * n)
-                _, stats = cc_arb_flow_stats(spg, alpha)
+                _, stats = solve_cc_arb(spg, alpha)
                 assert stats is not None
                 assert stats.phases_executed <= 3 * ceil_sqrt(n) + 3
 
@@ -202,7 +201,7 @@ def test_criterion_05_flow_phase_bound_and_scaling(capsys):
             best = math.inf
             for _ in range(3):
                 t0 = time.monotonic()
-                tree, stats = cc_arb_flow_stats(spg, alpha)
+                tree, stats = solve_cc_arb(spg, alpha)
                 best = min(best, time.monotonic() - t0)
                 assert tree is not None
             times.append(best)
@@ -346,9 +345,9 @@ def test_criterion_10_zero_cycle_refusal(capsys, monkeypatch, tmp_path):
         raise AssertionError("a solver ran on a zero-cycle instance")
 
     with reported(capsys, 10):
-        # where solve_cc_arb looks the production solvers up
-        for name in ("cc_arb_flow_stats", "min_cc_arb_flow_stats"):
-            monkeypatch.setattr(arborescence_mod, name, boom)
+        # every solve builds its network here, where solve_cc_arb looks
+        # it up
+        monkeypatch.setattr(arborescence_mod, "build_arb_network", boom)
         for i in range(50):
             g, alpha = zero_cycle_instance(i)
             with pytest.raises(NonPositiveCycle) as ei:

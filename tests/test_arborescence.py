@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccgraph import (Arborescence, ColoredDigraph, SpgGraph, WrongColorCount,
-                     cc_arb_flow, cc_arb_flow_stats, min_cc_arb_flow,
-                     min_cc_arb_flow_stats, min_cc_spt, solve_cc_arb,
-                     unrooted_vertices, verify_arborescence)
+                     cc_arb_flow, min_cc_arb_flow, min_cc_spt, solve_cc_arb,
+                     verify_arborescence)
 from ccgraph.flow import _choice
 from ccgraph.testkit import (brute_cc_arb_general, brute_min_cc_arb,
                              cc_arb_match, cc_rb_arb, gen_layered_dag,
@@ -39,14 +38,15 @@ def test_diamond_tight_budget_infeasible(diamond_spg):
     for solver in (cc_arb_flow, cc_arb_match, cc_rb_arb):
         assert solver(diamond_spg, (2, 0)) is None
         assert solver(diamond_spg, (3, 0)) is None
-    # enough total budget to run the flow, which then falls short
-    arb, stats = cc_arb_flow_stats(diamond_spg, (3, 0))
+    # enough total budget, but color 2 is the only way into vertex 2
+    arb, stats = solve_cc_arb(diamond_spg, (3, 0))
     assert arb is None and stats is not None and stats.value == 2
 
 
-def test_diamond_short_budget_skips_flow(diamond_spg):
-    arb, stats = cc_arb_flow_stats(diamond_spg, (1, 1))
-    assert arb is None and stats is None
+def test_diamond_short_budget_stops_the_flow_at_two(diamond_spg):
+    # budgets of 2 in total for 3 vertices: the source arcs cap the flow
+    arb, stats = solve_cc_arb(diamond_spg, (1, 1))
+    assert arb is None and stats.value == 2
 
 
 def test_single_vertex_empty_tree():
@@ -59,24 +59,23 @@ def test_single_vertex_empty_tree():
 
 def test_unrooted_vertex_means_infeasible():
     spg = spg_of([(0, 1, 1, 1)], 3, 1)
-    assert unrooted_vertices(spg) == [2]
     assert cc_arb_flow(spg, (5,)) is None
     assert cc_arb_match(spg, (5,)) is None
 
 
 def test_solve_cc_arb_sends_two_colors_to_flow(diamond, diamond_spg):
-    tree, stats, solver = solve_cc_arb(diamond_spg, (2, 1))
-    assert solver == "flow" and stats.value == 3
+    tree, stats = solve_cc_arb(diamond_spg, (2, 1))
+    assert stats.value == 3
     assert tree == cc_arb_flow(diamond_spg, (2, 1))
-    tree, stats, solver = solve_cc_arb(diamond_spg, (2, 1), minimize=True)
-    assert solver == "flow" and tree == min_cc_arb_flow(diamond_spg, (2, 1))
+    tree, stats = solve_cc_arb(diamond_spg, (2, 1), minimize=True)
+    assert tree == min_cc_arb_flow(diamond_spg, (2, 1))
     assert stats.total_cost == tree.total_weight
     spg3 = spg_of(diamond.edge_tuples(), 4, 3)
-    tree, stats, solver = solve_cc_arb(spg3, (2, 1, 0))
-    assert solver == "flow" and stats.value == 3
+    tree, stats = solve_cc_arb(spg3, (2, 1, 0))
+    assert stats.value == 3
     assert tree == cc_arb_flow(spg3, (2, 1, 0))
-    tree, stats, solver = solve_cc_arb(spg3, (2, 1, 0), minimize=True)
-    assert solver == "flow" and stats.total_cost == tree.total_weight == 3
+    tree, stats = solve_cc_arb(spg3, (2, 1, 0), minimize=True)
+    assert stats.total_cost == tree.total_weight == 3
 
 
 def test_rb_partition_classes(diamond_spg):
@@ -161,7 +160,7 @@ def test_min_flow_diamond(diamond_min_dag):
     loose = min_cc_arb_flow(diamond_min_dag, (3, 3))
     assert loose.total_weight == 3
     assert min_cc_arb_flow(diamond_min_dag, (2, 0)) is None
-    arb, stats = min_cc_arb_flow_stats(diamond_min_dag, (2, 1))
+    arb, stats = solve_cc_arb(diamond_min_dag, (2, 1), minimize=True)
     assert stats.value == 3 and stats.total_cost == 3
 
 
@@ -325,13 +324,51 @@ def dags_with_repeated_rows(draw):
     return SpgGraph.from_dag(g, label[0]), alpha
 
 
+@st.composite
+def tight_subsets(draw):
+    # a random DAG cut down to a random subset of its edges, rooted at its
+    # first vertex or at any: vertices left without an in-edge and budgets
+    # short in total are both common, and nothing rules them out before
+    # the flow
+    n = draw(st.integers(1, 7))
+    q = draw(st.integers(1, 3))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[u], label[v], draw(st.integers(1, q)),
+              draw(st.integers(0, 3)))
+             for v in range(1, n) for u in range(v)
+             if draw(st.integers(0, 2))]
+    g = ColoredDigraph(n, q, edges)
+    drop = draw(st.sets(st.integers(0, max(g.m - 1, 0)), max_size=3))
+    root = draw(st.integers(0, n - 1)) if draw(st.booleans()) else label[0]
+    spg = SpgGraph(g, root, [e for e in range(g.m) if e not in drop])
+    return spg, tuple(draw(st.integers(0, n)) for _ in range(q))
+
+
+@given(tight_subsets())
+def test_the_flow_alone_decides_every_answer(case):
+    spg, alpha = case
+    tree, run = solve_cc_arb(spg, alpha)
+    cheapest, min_run = solve_cc_arb(spg, alpha, minimize=True)
+    feasible = cc_arb_match(spg, alpha) is not None
+    best = brute_min_cc_arb(spg, alpha)
+    assert (best is not None) == feasible
+    for got, flow in ((tree, run), (cheapest, min_run)):
+        assert flow is not None
+        assert (got is not None) == feasible == (flow.value == spg.n - 1)
+        assert flow.value <= spg.n - 1
+    if feasible:
+        assert_good(spg, tree, alpha)
+        assert_good(spg, cheapest, alpha)
+        assert cheapest.total_weight == min_run.total_cost == best
+
+
 @given(dags_with_repeated_rows())
 def test_class_network_matches_the_oracles(case):
     spg, alpha = case
     g = spg.graph
-    arb, _ = cc_arb_flow_stats(spg, alpha)
+    arb, _ = solve_cc_arb(spg, alpha)
     assert (arb is None) == (cc_arb_match(spg, alpha) is None)
-    cheapest, stats = min_cc_arb_flow_stats(spg, alpha)
+    cheapest, stats = solve_cc_arb(spg, alpha, minimize=True)
     best = brute_min_cc_arb(spg, alpha)
     assert (cheapest is None) == (best is None)
     if cheapest is not None:
@@ -383,11 +420,8 @@ def test_min_cost_moves_by_the_shift_alone(case, k):
         ColoredDigraph.from_columns(g.n, g.q, t, h, c,
                                     [x + k for x in w.tolist()]),
         spg.root, spg.topo_order)
-    tree, stats = min_cc_arb_flow_stats(spg, alpha)
-    moved, moved_stats = min_cc_arb_flow_stats(shifted, alpha)
-    if stats is None:
-        assert moved_stats is None and moved is None
-        return
+    tree, stats = solve_cc_arb(spg, alpha, minimize=True)
+    moved, moved_stats = solve_cc_arb(shifted, alpha, minimize=True)
     assert (moved_stats.flow, moved_stats.value) == (stats.flow, stats.value)
     assert moved_stats.total_cost == stats.total_cost + k * stats.value
     if tree is None:
@@ -418,7 +452,7 @@ def test_no_solver_walks_per_vertex_edge_lists(diamond, diamond_spg,
     monkeypatch.setattr(SpgGraph, "in_edge_ids", walk)
     for spg, alpha in ((diamond_spg, (2, 1)), (spg3, (2, 1, 0))):
         for minimize in (False, True):
-            tree, _, _ = solve_cc_arb(spg, alpha, minimize=minimize)
+            tree, _ = solve_cc_arb(spg, alpha, minimize=minimize)
             assert tree.parent_edge == {1: 0, 2: 1, 3: 2}
 
 

@@ -8,9 +8,8 @@ from hypothesis import given, strategies as st
 
 from ccgraph import (ColoredDigraph, FlowNetwork, SpgGraph,
                      build_arb_network, build_spg, cc_arb_flow,
-                     cc_arb_flow_stats, dinitz_max_flow,
-                     min_cc_arb_flow_stats,
-                     min_cost_max_flow, min_cut, sssp)
+                     dinitz_max_flow, min_cost_max_flow, min_cut,
+                     solve_cc_arb, sssp)
 from ccgraph.testkit import BipartiteGraph, gen_layered_dag, hopcroft_karp
 
 
@@ -294,7 +293,7 @@ def test_min_cost_rounds_do_not_grow_with_the_flow():
     spg = SpgGraph.from_dag(ColoredDigraph.from_columns(800, 8, t, h, c, w),
                             0)
     budgets = cc_arb_flow(spg, (799,) * 8).color_counts
-    tree, stats = min_cc_arb_flow_stats(spg, budgets)
+    tree, stats = solve_cc_arb(spg, budgets, minimize=True)
     assert stats.value == 799
     assert 1 <= stats.phases_executed <= 17
     assert stats.augments >= stats.phases_executed
@@ -325,8 +324,8 @@ def test_arb_networks_stay_class_sized(monkeypatch):
     signatures = {tuple(sorted(row)) for row in cheapest[1:]}
     cost_rows = {tuple(sorted(row.items())) for row in cheapest[1:]}
     assert 8 < len(signatures) < len(cost_rows) < g.n // 2
-    cc_arb_flow_stats(spg, (g.n,) * 8)
-    min_cc_arb_flow_stats(spg, (g.n,) * 8)
+    solve_cc_arb(spg, (g.n,) * 8)
+    solve_cc_arb(spg, (g.n,) * 8, minimize=True)
     assert [H.num_nodes for H in built] == [8 + len(signatures) + 2,
                                             8 + len(cost_rows) + 2]
 

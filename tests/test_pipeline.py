@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ccgraph import (Arborescence, CcSpInstance, ColorConstraint,
-                     ColoredDigraph, DistanceTable, FlowNetwork,
+                     ColoredDigraph, DistanceTable, EdgeRecord, FlowNetwork,
                      LowerBoundTooLarge, NegativeCycleReachable,
                      NonPositiveCycle, SpgGraph, SptResult,
                      UnreachableVertex, VccSpInstance, VertexColoredDigraph,
@@ -328,12 +328,25 @@ def test_vertex_ids_take_integers_only(diamond, bad):
              lambda: restrict_to(diamond, [0, bad]),
              lambda: VertexColoredDigraph(2, 1, (1, 1), ((bad, 1, 1),)),
              lambda: VertexColoredDigraph(2, 1, (1, 1), ((0, bad, 1),)),
-             lambda: FlowNetwork(2, 0, 1).add_arc(bad, 1, 1)]
+             lambda: FlowNetwork(2, 0, 1).add_arc(bad, 1, 1),
+             lambda: d.distance(bad),
+             lambda: d.reachable(bad)]
     for call in calls:
         with pytest.raises(ValueError, match="is not an integer vertex id"):
             call()
+    # ids that numpy would wrap to the last entry, or index past the end
+    for v in (-1, diamond.n, np.int64(-1)):
+        for call in (d.distance, d.reachable):
+            with pytest.raises(ValueError, match="out of range"):
+                call(v)
+    for j in (-1, diamond.m):
+        with pytest.raises(ValueError, match="out of range"):
+            diamond.edge(j)
+    assert (d.distance(3), d.reachable(3)) == (2, True)
+    assert diamond.edge(np.int64(3)) == EdgeRecord(2, 3, 2, 1, 3)
     # integer slots that are not vertex ids
-    calls = [lambda: SpgGraph(diamond, 0, [0, bad]),
+    calls = [lambda: diamond.edge(bad),
+             lambda: SpgGraph(diamond, 0, [0, bad]),
              lambda: VertexColoredDigraph(2, 1, (bad, 1), ((0, 1, 1),)),
              lambda: VertexColoredDigraph(2, 1, (1, 1), ((0, 1, bad),)),
              lambda: FlowNetwork(2, 0, 1).add_arc(0, 1, bad),

@@ -323,6 +323,31 @@ def test_from_dag_validates_supplied_order(diamond_min):
         SpgGraph.from_dag(diamond_min, 0, topo_order=[0, 0, 2, 3])
 
 
+def test_spg_constructor_takes_no_topo_order(diamond, diamond_min):
+    # an order handed to the constructor went unchecked; only build_spg
+    # and from_dag, which have checked theirs, set one beforehand
+    for order in ([3, 2, 1, 0], [7, "x"]):
+        with pytest.raises(TypeError):
+            SpgGraph(diamond, 0, np.arange(4), topo_order=order)
+        with pytest.raises(TypeError):
+            SpgGraph(diamond, 0, np.arange(4), order)
+    zero = ColoredDigraph(3, 1, [(0, 2, 1, 1), (0, 1, 1, 1), (1, 2, 1, 0)])
+    spgs = [SpgGraph(diamond, 0, np.arange(4)),
+            SpgGraph(diamond_min, 0, [3, 0, 1]),
+            SpgGraph.from_dag(diamond_min, 0),
+            SpgGraph.from_dag(diamond_min, 0, topo_order=[0, 2, 1, 3]),
+            build_spg(diamond, 0, sssp(diamond, 0)),
+            build_spg(zero, 0, sssp(zero, 0))]
+    assert spgs[3].topo_order == [0, 2, 1, 3]
+    # build_spg sorts the zero-weight tight subgraph itself
+    assert spgs[5]._topo_order == [0, 1, 2]
+    for spg in spgs:
+        assert sorted(spg.topo_order) == list(range(spg.n))
+        pos = {v: i for i, v in enumerate(spg.topo_order)}
+        t, h, _, _, _ = spg.columns()
+        assert all(pos[u] < pos[v] for u, v in zip(t.tolist(), h.tolist()))
+
+
 @st.composite
 def distance_cases(draw):
     """A small graph with weights 0..3 or -3..5, often with a ring of
