@@ -29,8 +29,8 @@ import numpy as np
 from .errors import Violation
 from .flow import (FlowAssignment, build_arb_network, dinitz_max_flow,
                    min_cost_max_flow)
-from .graph import (INT64_MAX, ColoredDigraph, ColorConstraint, _integers,
-                    _magnitude, _vertex)
+from .graph import (INT64_MAX, ColoredDigraph, ColorConstraint, _int_array,
+                    _integers, _magnitude, _vertex)
 from .spg import SpgGraph
 
 
@@ -143,16 +143,47 @@ def solve_cc_arb(spg: SpgGraph, alpha, *, minimize: bool = False
     tree, None when the flow falls short of n-1, and the flow run. Budgets
     too small in total are capped by the source arcs, and a vertex with no
     in-edge forms a class with no color arc, so the flow decides every
-    answer. The network and flow functions are read from this module's
-    namespace on every call, so a wrapped or patched one is the one that
-    runs."""
+    answer. A minimum-weight tree is checked under `__debug__`: its
+    weight against the flow's cost, and the run's color prices against
+    the tree (`_prices_hold`). The network and flow functions are read
+    from this module's namespace on every call, so a wrapped or patched
+    one is the one that runs."""
     H = build_arb_network(spg, alpha, minimize=minimize)
     run = (min_cost_max_flow if minimize else dinitz_max_flow)(H)
     if run.value < spg.n - 1:
         return None, run
     tree = _network_solution(spg, H, run)
-    assert not minimize or tree.total_weight == run.total_cost
+    assert not minimize or (tree.total_weight == run.total_cost
+                            and _prices_hold(spg, H, tree, run.prices))
     return tree, run
+
+
+def _prices_hold(spg: SpgGraph, H, tree: Arborescence,
+                 prices: tuple[int, ...]) -> bool:
+    """Whether color prices pi prove `tree` of least weight: every vertex
+    takes a color that attains the least w(v, c) + pi_c over its tight
+    in-colors c, at the weight of the pair's edge in `H.choice`, and pi_c
+    > 0 only on a color used to its clamped budget (the capacity of its
+    source arc). One pass over the pair list; exact past int64."""
+    q = spg.q
+    binding = all(p == 0 or used == cap for p, used, cap
+                  in zip(prices, tree.color_counts, H.arc_caps[:q]))
+    if not len(tree.vertices):
+        return binding
+    keys, edges = H.choice
+    _, _, c, w = spg.graph.columns()
+    pi = _int_array((0,) + prices)
+    if _magnitude(w) + _magnitude(pi) > INT64_MAX:
+        w, pi = w.astype(object), pi.astype(object)
+    heads, colors = np.divmod(keys, q + 1)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = heads[1:] != heads[:-1]
+    starts = np.flatnonzero(first)
+    # the least w(v, c) + pi_c of every vertex with a tight in-edge
+    least = np.empty(spg.n, dtype=w.dtype)
+    least[heads[starts]] = np.minimum.reduceat(w[edges] + pi[colors], starts)
+    paid = w[tree.edges] + pi[c[tree.edges]]
+    return binding and bool((paid == least[tree.vertices]).all())
 
 
 def verify_arborescence(g: ColoredDigraph, root: int, tree: Arborescence,

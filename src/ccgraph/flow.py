@@ -25,16 +25,34 @@ One blocking-flow core (`_dinitz`) serves both questions. The maximum
 flow is a single run of it; the minimum-cost maximum flow runs it once per
 primal-dual round, on the arcs whose reduced cost a Dijkstra has just
 brought to zero (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, 9.8).
-Its costs must be non-negative, so zero potentials start it (ibid., ch.
-9). The rounds are at most the distinct lengths of a shortest augmenting
+The rounds may start from any flow under potentials that keep every
+residual arc's reduced cost >= 0 (ibid., ch. 9). A plain network starts
+from zero flow and zero potentials, its costs being non-negative. The
+arborescence network starts from its cheapest assignment, every class on
+its cheapest color, which is of least cost but may overfill colors; the
+rounds then route only the overflow (`_cheapest_assignment`), and a
+return arc of cost -M lets them drop the units that no budget admits.
+
+The rounds are at most the distinct lengths of a shortest augmenting
 path, which never shrink. The minimum-weight network subtracts the least
-pair cost lo from every color->class cost, so they lie in [0, hi-lo]; the
-first shortest path is source->color->class->sink, of length >= 0, and a
+pair cost lo from every color->class cost, so they lie in [0, hi-lo]. A
 simple residual path enters each of the q color nodes at most once (from
-the source, or back along a used color->class arc), so its length is at
-most q*(hi-lo): at most q*(hi-lo) + 1 rounds, whatever the flow value.
-Capacities above one do not change this count, since it bounds path
-lengths, not paths.
+the source, or back along a used color->class arc). From zero flow a
+path is source->color->class->sink at first, of length >= 0, and at most
+q*(hi-lo) long, so there are at most q*(hi-lo) + 1 rounds. From the
+cheapest assignment a path that moves vertices between colors has its
+length in [0, q*(hi-lo)], and one over the return arc, with M =
+q*(hi-lo) + 1, in [1, M + (q-1)*(hi-lo)], so there are at most
+(2q-1)*(hi-lo) + 2 rounds. Both bounds hold whatever the flow value;
+capacities above one do not change them, since they bound path lengths,
+not paths.
+
+The final potentials phi give the q color prices pi_c = max(phi(c) -
+phi(source), 0) of the transportation dual: every vertex's color attains
+the least w(v, c) + pi_c over its tight in-colors c, and pi_c > 0 only on
+a color used to its budget. They prove a tree of least weight without a
+residual graph (McConnell et al., "Certifying algorithms", Comput. Sci.
+Rev. 5(2), 2011).
 """
 
 from __future__ import annotations
@@ -42,11 +60,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from operator import mul
 
 import numpy as np
 
-from .graph import INT64_MAX, ColorConstraint, _vertex
+from .graph import (INT64_MAX, ColorConstraint, _int_array, _magnitude,
+                    _vertex)
 from .spg import SpgGraph
+
+INF = float("inf")
 
 
 class FlowNetwork:
@@ -96,11 +118,15 @@ class FlowAssignment:
 
     From `dinitz_max_flow`, phases_executed counts the level graphs on
     which the sink was reachable. From `min_cost_max_flow`, it counts the
-    primal-dual rounds, that is the Dijkstra searches that reached the
-    sink. In both, advances, retreats and augments are the steps and
-    augmenting paths of the depth-first blocking-flow search, summed over
-    every run of it. On an arborescence network all of these count work on
-    its class nodes, so one augment may route a whole class.
+    primal-dual rounds, that is the Dijkstra searches that reached their
+    target, the sink or, on an arborescence network, the overflow node;
+    it is 0 when the cheapest assignment fits the budgets. In both,
+    advances, retreats and augments are the steps and augmenting paths of
+    the depth-first blocking-flow search, summed over every run of it. On
+    an arborescence network all of these count work on its class nodes,
+    so one augment may route a whole class. `prices` holds the color
+    prices pi_1..pi_q that `min_cost_max_flow` returns for an arborescence
+    network, as the module docstring defines them, and is empty otherwise.
     """
 
     flow: list[int]
@@ -110,6 +136,7 @@ class FlowAssignment:
     advances: int = 0
     retreats: int = 0
     augments: int = 0
+    prices: tuple[int, ...] = ()
 
 
 def _choice(spg: SpgGraph, minimize: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -210,25 +237,46 @@ def build_arb_network(spg: SpgGraph, alpha, minimize: bool = False
     return H
 
 
-def _residual(H: FlowNetwork, with_costs: bool):
-    m = H.num_arcs
-    to = [0] * (2 * m)
-    cap = [0] * (2 * m)
-    adj: list[list[int]] = [[] for _ in range(H.num_nodes)]
-    for k in range(m):
-        t, h = H.arc_tails[k], H.arc_heads[k]
-        to[2 * k] = h
-        to[2 * k + 1] = t
-        cap[2 * k] = H.arc_caps[k]
-        adj[t].append(2 * k)
-        adj[h].append(2 * k + 1)
-    if not with_costs:
-        return to, cap, adj, None
-    cost = [0] * (2 * m)
-    for k in range(m):
-        cost[2 * k] = H.arc_costs[k]
-        cost[2 * k + 1] = -H.arc_costs[k]
-    return to, cap, adj, cost
+def _slots(num_nodes: int, tails: np.ndarray, heads: np.ndarray,
+           caps: np.ndarray, flow: np.ndarray):
+    """The residual network of arcs carrying `flow`, as paired slots.
+
+    Returns (to, cap, adj, slot_to, slot_tail, by_tail): the head and
+    residual capacity of every slot and each node's slots in slot order
+    as lists, the head and tail of every slot as arrays, and all slots
+    grouped by tail in that order.
+    """
+    to = np.empty(2 * len(tails), dtype=np.int64)
+    to[0::2], to[1::2] = heads, tails
+    slot_tail = to.reshape(-1, 2)[:, ::-1].ravel()
+    cap = np.empty(len(to), dtype=caps.dtype)
+    cap[0::2], cap[1::2] = caps - flow, flow
+    by_tail = np.argsort(slot_tail, kind="stable")
+    return (to.tolist(), cap.tolist(), _by_tail(by_tail, slot_tail, num_nodes),
+            to, slot_tail, by_tail)
+
+
+def _by_tail(slots: np.ndarray, slot_tail: np.ndarray, num_nodes: int
+             ) -> list[list[int]]:
+    """Per node, the slots that leave it: `slots` must come grouped by
+    tail, in ascending node order and in slot order within a node."""
+    flat = slots.tolist()
+    ends = np.cumsum(np.bincount(slot_tail[slots],
+                                 minlength=num_nodes)).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
+def _arcs(H: FlowNetwork):
+    """H's arc tails, heads, capacities and costs as exact arrays."""
+    return (np.asarray(H.arc_tails, dtype=np.int64),
+            np.asarray(H.arc_heads, dtype=np.int64),
+            _int_array(H.arc_caps), _int_array(H.arc_costs))
+
+
+def _residual(H: FlowNetwork, flow=None):
+    """(to, cap, adj) of H's residual network under `flow`, or zero flow."""
+    flow = np.zeros(H.num_arcs, dtype=np.int64) if flow is None else flow
+    return _slots(H.num_nodes, *_arcs(H)[:3], _int_array(flow))[:3]
 
 
 def dinitz_max_flow(H: FlowNetwork) -> FlowAssignment:
@@ -240,7 +288,7 @@ def dinitz_max_flow(H: FlowNetwork) -> FlowAssignment:
     """
     if any(c != 0 for c in H.arc_costs):
         raise ValueError("dinitz_max_flow requires all arc costs zero")
-    to, cap, adj, _ = _residual(H, False)
+    to, cap, adj = _residual(H)
     total, phases, advances, retreats, augments = _dinitz(
         to, cap, adj, H.source, H.sink)
     flows = [cap[2 * k + 1] for k in range(H.num_arcs)]
@@ -329,40 +377,119 @@ def _reachable_forward(adj, to, cap, start: int) -> list[bool]:
     return seen
 
 
+def _cheapest_assignment(H: FlowNetwork, tails, heads, caps, costs):
+    """The start of an arborescence network: its cheapest assignment.
+
+    Every class puts its whole size on its cheapest color arc, the first
+    in color order among equal costs, and each source arc carries what its
+    color's budget admits of that load. Under the potentials phi (each
+    class its cheapest cost, the sink and any class with no color arc the
+    largest of these, 0 elsewhere) every residual arc then costs >= 0.
+
+    Two kinds of arc join the network, each carrying its whole capacity.
+    An overflow node X feeds every color loaded past its budget with the
+    excess: a unit routed from the source to X moves one vertex off that
+    color, onto one with budget to spare. A return arc sink->source of
+    cost -M, with M = q * (hi - lo) + 1, carries the assigned flow: its
+    residual arc source->sink lets a unit that no reroute can place leave
+    the flow, at a price above every reroute. Returns the arc arrays with
+    the new arcs appended, the flow on them, phi, X and the overflow.
+    """
+    q, hi = H.color_arc_range
+    src, snk, x = H.source, H.sink, H.num_nodes
+    rank = costs[q:hi]
+    if rank.dtype == object:
+        rank = np.unique(rank, return_inverse=True)[1]
+    # the color arcs come class by class in color order, and lexsort is
+    # stable, so each class's run starts with its first cheapest arc
+    order = np.lexsort((rank, heads[q:hi]))
+    first = np.flatnonzero(np.diff(heads[q:hi], prepend=-1) != 0)
+    cheapest = q + order[first]
+    classes = heads[cheapest]
+    # class node q+1+i leaves by the sink arc hi+i, of the class's size
+    to_sink = hi + classes - (q + 1)
+    size = caps[to_sink]
+    flow = np.zeros(len(tails), dtype=np.int64)
+    flow[cheapest] = flow[to_sink] = size
+    # float sums of sizes, exact: they total at most n - 1
+    load = np.bincount(tails[cheapest], weights=size, minlength=q + 1)
+    load = load[1:].astype(np.int64)
+    flow[:q] = np.minimum(load, caps[:q])
+    over = np.flatnonzero(load > caps[:q])
+    least = costs[cheapest]
+    top = costs[q:hi].max() if hi > q else 0
+    phi = np.zeros(x + 1, dtype=costs.dtype)
+    phi[q + 1:snk + 1] = least.max() if len(least) else 0
+    phi[classes] = least
+    assigned = int(size.sum())
+    excess = load[over] - flow[over]
+    arcs = (np.concatenate([tails, [snk], np.full(len(over), x)]),
+            np.concatenate([heads, [src], over + 1]),
+            np.concatenate([caps, [assigned], excess]),
+            np.concatenate([costs, _int_array([-(q * int(top) + 1)]),
+                            np.zeros(len(over), dtype=np.int64)]),
+            np.concatenate([flow, [assigned], excess]))
+    return arcs, phi, x, int(excess.sum())
+
+
 def min_cost_max_flow(H: FlowNetwork) -> FlowAssignment:
     """Minimum-cost maximum flow by the primal-dual method.
 
-    Arc costs must be non-negative (ValueError otherwise), so the first
-    potentials are all zero: every reduced cost is then >= 0. Each
-    round runs one Dijkstra on reduced costs, raises the potentials by the
-    distances (capped at the sink's), and pushes a maximum flow with
-    `_dinitz` over the residual arcs whose reduced cost is now zero: every
-    augmenting path of that round is a shortest one. Each round lengthens
-    the shortest augmenting path, so the rounds are at most the number of
-    its distinct lengths, not the flow value. The total cost is that of
-    the arcs plus `H.cost_shift` per unit of flow.
+    Arc costs must be non-negative (ValueError otherwise). A plain network
+    starts from zero flow under zero potentials, and its rounds run to
+    the sink. An arborescence network starts from its cheapest assignment
+    (`_cheapest_assignment`), and its rounds run to the overflow node X
+    until every unit of overflow has reached it, which always happens: a
+    unit can always leave the flow over the return arc. The result is a
+    minimum-cost circulation, and the return arc's -M per unit outweighs
+    every reroute, so the flow it leaves is maximum and of least cost.
+
+    Each round runs one Dijkstra on reduced costs up to the target, raises
+    the potentials by the distances (capped at the target's), and pushes a
+    maximum flow with `_dinitz` over the residual arcs whose reduced cost
+    is now zero: every augmenting path of that round is a shortest one.
+    Each round lengthens the shortest augmenting path, so the rounds are
+    at most the number of its distinct lengths, not the flow value. The
+    total cost is that of the arcs plus `H.cost_shift` per unit of flow.
+    On an arborescence network the final potentials give the color
+    prices: pi_c = max(phi(c) - phi(source), 0).
     """
-    if any(c < 0 for c in H.arc_costs):
+    if min(H.arc_costs, default=0) < 0:
         raise ValueError("min_cost_max_flow requires non-negative arc costs")
-    to, cap, adj, cost = _residual(H, True)
-    src, snk = H.source, H.sink
-    num_nodes = H.num_nodes
-    INF = float("inf")
-    phi = [0] * num_nodes
-    # a node other than the sink that no arc leaves can pass on no flow,
+    m, src = H.num_arcs, H.source
+    arcs = *_arcs(H), np.zeros(m, dtype=np.int64)
+    phi = np.zeros(H.num_nodes, dtype=np.int64)
+    target, left = H.sink, INF
+    if H.color_arc_range is not None:
+        arcs, phi, target, left = _cheapest_assignment(H, *arcs[:4])
+    tails, heads, caps, costs, flow = arcs
+    num_nodes = len(phi)
+    to, cap, adj, slot_to, slot_tail, by_tail = _slots(num_nodes, tails,
+                                                       heads, caps, flow)
+    top = _magnitude(costs)
+    if top > INT64_MAX:
+        # -M may be -2^63, whose negation wraps in int64
+        costs = costs.astype(object)
+    slot_cost = np.empty(len(to), dtype=costs.dtype)
+    slot_cost[0::2], slot_cost[1::2] = costs, -costs
+    cost = slot_cost.tolist()
+    # a node other than the target that no arc leaves can pass on no flow,
     # so no arc into it is ever worth entering (a color no class has)
-    onward = [False] * num_nodes
-    for t in H.arc_tails:
-        onward[t] = True
-    onward[snk] = True
+    onward = np.zeros(num_nodes, dtype=bool)
+    onward[tails] = True
+    onward[target] = True
+    into_onward = onward[slot_to]
+    phi = phi.tolist()
     total = 0
     rounds = advances = retreats = augments = 0
-    while True:
+    while total < left:
         dist = [INF] * num_nodes
         dist[src] = 0
         heap = [(0, src)]
         while heap:
             d, u = heappop(heap)
+            if u == target:
+                break
             if d > dist[u]:
                 continue
             for k in adj[u]:
@@ -373,40 +500,46 @@ def min_cost_max_flow(H: FlowNetwork) -> FlowAssignment:
                 if nd < dist[v]:
                     dist[v] = nd
                     heappush(heap, (nd, v))
-        if dist[snk] == INF:
+        ds = dist[target]
+        if ds == INF:
             break
-        ds = dist[snk]
         # capped at ds, so no zero-reduced-cost arc leads from the source
-        # to a node farther than the sink: the Dinitz run never enters one
-        for v in range(num_nodes):
-            phi[v] += min(dist[v], ds)
-        # every s-t path of zero reduced cost is now a shortest one; slot
-        # k ^ 1 has the opposite reduced cost of k, so pushing flow here
-        # leaves no residual slot with a negative one
-        admissible = [[k for k in ks if onward[to[k]]
-                       and cost[k] + pu == phi[to[k]]]
-                      for ks, pu in zip(adj, phi)]
-        value, _, adv, ret, aug = _dinitz(to, cap, admissible, src, snk)
+        # to a node farther than the target: the Dinitz run never enters
+        # one; every node still on the heap lies at ds or beyond
+        phi = [p + (d if d < ds else ds) for p, d in zip(phi, dist)]
+        # every path of zero reduced cost is now a shortest one; slot k ^ 1
+        # has the opposite reduced cost of k, so pushing flow here leaves
+        # no residual slot with a negative one
+        p = _int_array(phi)
+        if top + _magnitude(p) > INT64_MAX:
+            # a sum could wrap in int64; compare Python ints
+            slot_cost, p = slot_cost.astype(object), p.astype(object)
+        zero = into_onward & (slot_cost + p[slot_tail] == p[slot_to])
+        admissible = _by_tail(by_tail[zero[by_tail]], slot_tail, num_nodes)
+        value, _, adv, ret, aug = _dinitz(to, cap, admissible, src, target)
         rounds += 1
         total += value
         advances += adv
         retreats += ret
         augments += aug
-    flows = [cap[2 * k + 1] for k in range(H.num_arcs)]
-    total_cost = (sum(c * f for c, f in zip(H.arc_costs, flows))
-                  + H.cost_shift * total)
+    flows = cap[1:2 * m:2]
+    prices = ()
+    if H.color_arc_range is not None:
+        # the return arc, slot pair 2m and 2m+1, carries the flow's value
+        total = cap[2 * m + 1]
+        prices = tuple(max(phi[c] - phi[src], 0)
+                       for c in range(1, H.color_arc_range[0] + 1))
+    total_cost = sum(map(mul, H.arc_costs, flows)) + H.cost_shift * total
     return FlowAssignment(flow=flows, value=total, phases_executed=rounds,
                           total_cost=total_cost, advances=advances,
-                          retreats=retreats, augments=augments)
+                          retreats=retreats, augments=augments,
+                          prices=prices)
 
 
 def min_cut(H: FlowNetwork, assignment: FlowAssignment
             ) -> tuple[frozenset[int], int]:
     """Source side of the residual cut left by a maximum flow, and its capacity."""
-    to, cap, adj, _ = _residual(H, False)
-    for k, f in enumerate(assignment.flow):
-        cap[2 * k] -= f
-        cap[2 * k + 1] += f
+    to, cap, adj = _residual(H, assignment.flow)
     seen = _reachable_forward(adj, to, cap, H.source)
     side = frozenset(u for u in range(H.num_nodes) if seen[u])
     capacity = sum(H.arc_caps[k] for k in range(H.num_arcs)

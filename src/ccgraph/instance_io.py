@@ -8,13 +8,15 @@ is ignored), `n <id> <name>` names a vertex, `a <tail> <head> <color>
 vertex-colored variant. Weights may be decimal; after multiplying by the
 scale they must land on integers. Endpoints may be written by name.
 
-A plain file, which is what `format_instance` writes without names or
-comments, is read in columns: one `p ccg <n> <m> <q>` line with n >= 1 and
-m >= 1, then exactly m lines `a <int> <int> <int> <int>`, single-spaced,
-each integer at most 18 ASCII digits with an optional `-`, and nothing
-else. Every other text, and a plain file whose graph fails `validate`,
-goes through the line reader, so every error message and line number
-comes from it.
+A plain file, which is what `format_instance` writes without names, is
+read in columns: a leading block of `#` lines, none of them holding a
+line separator other than its closing newline (`str.splitlines` splits
+at more characters than newline), then one `p ccg <n> <m> <q>` line with
+n >= 1 and m >= 1, then exactly m lines `a <int> <int> <int> <int>`,
+single-spaced, each integer at most 18 ASCII digits with an optional
+`-`, and nothing else. Every other text, and a plain file whose graph
+fails `validate`, goes through the line reader, so every error message
+and line number comes from it.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ _WEIGHT_LIMIT = 1 << 63
 # time: a repeated group over the whole body would keep state per line.
 _COUNT = r"([0-9]{1,18})"
 _PLAIN_HEADER = re.compile(rf"p ccg {_COUNT} {_COUNT} {_COUNT}\n")
+# Leading comment lines free of every other `str.splitlines` separator, so
+# that the line reader sees the same lines and numbers them the same way.
+_PLAIN_COMMENTS = re.compile(
+    r"(?:#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*\n)*")
 _INT = r" -?[0-9]{1,18}"
 _NOT_PLAIN_EDGE = re.compile(rf"^(?!a{_INT}{_INT}{_INT}{_INT}$)",
                              re.MULTILINE)
@@ -212,7 +218,7 @@ class _Reader:
 
 def _plain_graph(text: str) -> ColoredDigraph | None:
     """The valid graph of a plain file, read in columns, or None."""
-    header = _PLAIN_HEADER.match(text)
+    header = _PLAIN_HEADER.match(text, _PLAIN_COMMENTS.match(text).end())
     if header is None:
         return None
     n, m, q = map(int, header.groups())

@@ -364,12 +364,16 @@ class SpgGraph:
     """The tight subgraph of a graph, rooted at the shortest-path source.
 
     Stores the owning graph plus the ordinals of surviving edges, so edge
-    ids seen by solvers always refer to the original edge sequence.
-    `topo_order` is a topological order of the subgraph, the canonical
-    one of `_kahn`, computed on first read (no solver needs it); only
-    `build_spg` and `from_dag`, which have checked an order already, set
-    it beforehand. The root must be an integer vertex id and the edge ids
-    integer ordinals of the graph's edges (ValueError otherwise).
+    ids seen by solvers always refer to the original edge sequence. The
+    solvers take the subgraph to be acyclic, so the constructor checks it:
+    the root must be an integer vertex id, the edge ids integer ordinals
+    of the graph's edges (ValueError otherwise), and the edges must form
+    no directed cycle (NotAcyclic with `_kahn`'s witness otherwise); the
+    order `_kahn` found is kept as `topo_order`. `build_spg` and
+    `from_dag`, which have checked their edges already, go through
+    `_of_arrays` and pay for no second check; there `topo_order` is the
+    order they checked, or `_kahn`'s computed on first read (no solver
+    needs it).
     """
 
     __slots__ = ("graph", "root", "edge_ids", "_topo_order", "_in_ids")
@@ -382,14 +386,29 @@ class SpgGraph:
             raise ValueError(f"edge_ids: {exc}") from None
         if len(ids) and not 0 <= ids.min() <= ids.max() < graph.m:
             raise ValueError("edge_ids out of range")
-        self.graph = graph
-        self.root = _vertex("root", root, graph.n)
-        self.edge_ids = ids
-        self._topo_order = None
+        root = _vertex("root", root, graph.n)
+        res = _kahn(graph.n, ids.tolist(), graph.tails.tolist(),
+                    graph.heads.tolist())
+        if not res.acyclic:
+            raise NotAcyclic(res.cycle_vertices, res.cycle_edges)
+        self.graph, self.root, self.edge_ids = graph, root, ids
+        self._topo_order = res.topo_order
         self._in_ids = None
 
+    @classmethod
+    def _of_arrays(cls, graph: ColoredDigraph, root: int, edge_ids: np.ndarray,
+                   topo_order: list[int] | None = None) -> "SpgGraph":
+        """A subgraph whose int64 edge ids and root are known valid and
+        acyclic, not checked again; `topo_order`, when given, is an order
+        already checked."""
+        spg = cls.__new__(cls)
+        spg.graph, spg.root, spg.edge_ids = graph, root, edge_ids
+        spg._topo_order = topo_order
+        spg._in_ids = None
+        return spg
+
     @property
-    def topo_order(self) -> list[int] | None:
+    def topo_order(self) -> list[int]:
         if self._topo_order is None:
             self._topo_order = _kahn(
                 self.n, self.edge_ids.tolist(), self.graph.tails.tolist(),
@@ -431,9 +450,8 @@ class SpgGraph:
             if not res.acyclic:
                 raise NotAcyclic(res.cycle_vertices, res.cycle_edges)
             order = res.topo_order
-        spg = cls(graph, root, np.arange(graph.m, dtype=np.int64))
-        spg._topo_order = order
-        return spg
+        return cls._of_arrays(graph, root, np.arange(graph.m, dtype=np.int64),
+                              order)
 
     def in_edge_ids(self) -> list[list[int]]:
         """Per-vertex incoming subgraph edge ordinals, ascending."""
@@ -475,14 +493,14 @@ def build_spg(g: ColoredDigraph, source: int, d: DistanceTable) -> SpgGraph:
         raise UnreachableVertex(int(np.argmin(d.reached)))
     via, at = _relaxations(g, d.values)
     tight = np.flatnonzero(via == at)
-    spg = SpgGraph(g, source, tight)
     w = g.columns()[3]
+    order = None
     if g.m and (w.min() < 0 or (w[tight] == 0).any()):
         res = _kahn(g.n, tight.tolist(), g.tails.tolist(), g.heads.tolist())
         if not res.acyclic:
             raise NonPositiveCycle(res.cycle_vertices, res.cycle_edges)
-        spg._topo_order = res.topo_order
-    return spg
+        order = res.topo_order
+    return SpgGraph._of_arrays(g, source, tight, order)
 
 
 def _relaxations(g: ColoredDigraph, dist: Sequence[int]

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccgraph import (Arborescence, ColoredDigraph, SpgGraph, WrongColorCount,
-                     cc_arb_flow, min_cc_arb_flow, min_cc_spt, solve_cc_arb,
-                     verify_arborescence)
+from ccgraph import (Arborescence, ColorConstraint, ColoredDigraph, SpgGraph,
+                     WrongColorCount, build_arb_network, cc_arb_flow,
+                     min_cc_arb_flow, min_cc_spt, min_cost_max_flow,
+                     min_cut, solve_cc_arb, verify_arborescence)
+from ccgraph.arborescence import _prices_hold
 from ccgraph.flow import _choice
 from ccgraph.testkit import (brute_cc_arb_general, brute_min_cc_arb,
                              cc_arb_match, cc_rb_arb, gen_layered_dag,
                              gen_random_dag, min_cc_rb_arb, rb_partition)
+from test_flow import (check_flow_is_valid, edmonds_karp_value,
+                       residual_has_negative_cycle)
 
 ALL_DECIDERS = [cc_arb_flow, cc_arb_match]
 
@@ -188,15 +192,16 @@ def test_min_rb_tied_regrets_cross_in_vertex_order():
 
 
 def test_min_tree_tie_break_is_the_class_rule():
-    # both vertices prefer color 1 by the same regret, and one must cross:
-    # the regret rule moves the smaller id, vertex 1, to color 2, while
-    # the network's classes differ by cost rank, and the min-cost flow
-    # gives color 1 to vertex 1's class; both trees weigh 2
+    # both vertices prefer color 1 by the same regret, and one must cross.
+    # The min-cost flow starts from the cheapest assignment, both on color
+    # 1, and its first shortest reroute, in class order, moves vertex 1's
+    # class to color 2; the regret rule moves the smaller id, vertex 1, as
+    # well, so the two give the same tree, of weight 2
     edges = [(0, 1, 1, 0), (0, 1, 2, 1), (0, 2, 1, 1), (1, 2, 2, 2)]
     spg = spg_of(edges, 3, 2)
     flow = min_cc_arb_flow(spg, (1, 2))
     rule = min_cc_rb_arb(spg, (1, 2))
-    assert flow.parent_edge == {1: 0, 2: 3}
+    assert flow.parent_edge == {1: 1, 2: 2}
     assert rule.parent_edge == {1: 1, 2: 2}
     assert flow.total_weight == rule.total_weight == 2
     # the same choice on a graph whose edges are all tight from 0
@@ -204,7 +209,7 @@ def test_min_tree_tie_break_is_the_class_rule():
                               (1, 2, 2, 2)])
     spt = min_cc_spt(g, 0, (1, 2))
     assert spt.spg_edge_count == 4 and spt.solver_used == "min_flow"
-    assert spt.tree.parent_edge == {1: 0, 2: 3}
+    assert spt.tree.parent_edge == {1: 1, 2: 2}
     rule = min_cc_rb_arb(SpgGraph.from_dag(g, 0), (1, 2))
     assert rule.parent_edge == {1: 1, 2: 2}
     assert spt.tree.total_weight == rule.total_weight == 2
@@ -389,6 +394,93 @@ def test_class_network_matches_the_oracles(case):
                         else True for f in pairs[1:])
             assert color >= rows.get(row, color)
             rows[row] = color
+
+
+@given(st.one_of(tight_subsets(), dags_with_repeated_rows()))
+def test_min_cost_flow_keeps_its_contract_on_class_networks(case):
+    # the cheapest assignment, its reroutes and, on a "no", the units the
+    # return arc drops: whatever the start, the run is a maximum flow of
+    # least cost, with a minimum cut of its value
+    spg, alpha = case
+    H = build_arb_network(spg, alpha, minimize=True)
+    run = min_cost_max_flow(H)
+    check_flow_is_valid(H, run)
+    assert run.value == edmonds_karp_value(H)
+    assert not residual_has_negative_cycle(H, run.flow)
+    assert min_cut(H, run)[1] == run.value
+    best = brute_min_cc_arb(spg, alpha)
+    assert (best is None) == (run.value < spg.n - 1)
+    if best is not None:
+        assert run.total_cost == best
+
+
+def test_return_arc_cost_of_minus_two_to_the_63():
+    # weights 0 and 2^63 - 1 on the one color give M = 2^63, so the return
+    # arc costs -2^63, which int64 holds but cannot negate; the costlier
+    # vertex is the one that leaves the flow
+    edges = [(0, 1, 1, 0), (0, 2, 1, 2 ** 63 - 1)]
+    tree, run = solve_cc_arb(spg_of(edges, 3, 1), (1,), minimize=True)
+    assert tree is None
+    assert (run.value, run.total_cost, run.flow[1:3]) == (1, 0, [1, 0])
+
+
+def prices_prove(spg, tree, prices, alpha):
+    # plain-Python reading of the certificate: pi >= 0, every vertex pays
+    # the least w(v, c) + pi_c over its tight in-edges, and pi_c > 0 only
+    # on a color used to its budget, clamped to n - 1
+    g = spg.graph
+    least = {}
+    for e in spg.edge_ids.tolist():
+        v, pay = int(g.heads[e]), (int(g.weights[e])
+                                   + prices[int(g.colors[e]) - 1])
+        least[v] = min(pay, least.get(v, pay))
+    budgets = ColorConstraint.of(alpha).clamped(spg.n - 1)
+    return (all(p >= 0 for p in prices)
+            and all(int(g.weights[e]) + prices[int(g.colors[e]) - 1]
+                    == least[v] for v, e in tree.parent_edge.items())
+            and all(p == 0 or used == b for p, used, b
+                    in zip(prices, tree.color_counts, budgets)))
+
+
+@given(st.one_of(tight_subsets(), dags_with_repeated_rows()))
+def test_min_cost_flow_prices_prove_the_tree(case):
+    spg, alpha = case
+    tree, run = solve_cc_arb(spg, alpha, minimize=True)
+    assert len(run.prices) == spg.q
+    if tree is None:
+        return
+    H = build_arb_network(spg, alpha, minimize=True)
+    assert prices_prove(spg, tree, run.prices, alpha)
+    assert _prices_hold(spg, H, tree, run.prices)
+
+
+def test_a_perturbed_price_or_color_fails_the_certificate():
+    # three vertices, each 0 on color 1 and 2 on color 2, and room for two
+    # on color 1: one crosses, and color 1 must cost pi_1 = 2 more
+    edges = [e for v in (1, 2, 3) for e in ((0, v, 1, 0), (0, v, 2, 2))]
+    spg, alpha = spg_of(edges, 4, 2), (2, 3)
+    H = build_arb_network(spg, alpha, minimize=True)
+    tree, run = solve_cc_arb(spg, alpha, minimize=True)
+    assert tree.parent_edge == {1: 0, 2: 2, 3: 5}
+    assert run.prices == (2, 0)
+    checks = (lambda t, p: prices_prove(spg, t, p, alpha),
+              lambda t, p: _prices_hold(spg, H, t, p))
+    for check in checks:
+        assert check(tree, run.prices)
+        for i in (0, 1):
+            for step in (-1, 1):
+                prices = list(run.prices)
+                prices[i] += step
+                assert not check(tree, tuple(prices)), (i, step)
+        for v, e in tree.parent_edge.items():
+            # edge e ^ 1 enters v in the other color
+            moved = {**tree.parent_edge, v: e ^ 1}
+            counts = [0, 0]
+            for f in moved.values():
+                counts[f % 2] += 1
+            other = Arborescence(0, moved, tuple(counts), 2 * counts[1])
+            assert_good(spg, other, (3, 3))
+            assert not check(other, run.prices), v
 
 
 def test_class_network_memory_follows_the_tight_pairs():

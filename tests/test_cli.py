@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -204,19 +205,27 @@ def test_min_arb(tmp_path):
 
 
 def test_min_flow_json_stats(tmp_path):
-    # the min-cost flow reports its primal-dual rounds as phases
+    # the min-cost flow reports its primal-dual rounds as phases. It starts
+    # from the cheapest assignment, vertex 3 on color 1, which budgets
+    # 2,1,0 admit, so no round runs; budgets 1,2,0 force vertex 3 over to
+    # color 2, in one round at least
     p = tmp_path / "diamond3.ccg"
     p.write_text(DIAMOND3)
     for command, solver in (("min-cc-spt", "min_flow"),
                             ("min-cc-arb", "flow")):
-        code, out, _ = cli(command, "--json", "-s", "0", "-a", "2,1,0",
-                           str(p))
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["solver"] == solver and doc["total_weight"] == 3
-        assert doc["stats"]["flow_value"] == 3
-        assert doc["stats"]["phases"] >= 1
-        assert doc["stats"]["augments"] >= 1
+        for budgets, rerouted in (("2,1,0", False), ("1,2,0", True)):
+            code, out, _ = cli(command, "--json", "-s", "0", "-a", budgets,
+                               str(p))
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["solver"] == solver and doc["total_weight"] == 3
+            assert doc["stats"]["flow_value"] == 3
+            if rerouted:
+                assert doc["stats"]["phases"] >= 1
+                assert doc["stats"]["augments"] >= 1
+            else:
+                assert doc["stats"]["phases"] == 0
+                assert doc["stats"]["augments"] == 0
 
 
 def test_cc_sp_output(diamond_file):
@@ -491,7 +500,9 @@ def test_python_dash_m_reaches_the_cli():
 @pytest.mark.parametrize("weights", ["1,9", "-3,9"])
 def test_answers_do_not_depend_on_the_self_check(tmp_path, weights):
     # -O drops the __debug__ self-check; the printed answer must not move.
-    # Weights from -3 take sssp's Bellman-Ford path.
+    # Weights from -3 take sssp's Bellman-Ford path. There, budgets
+    # 6,11,12 also move vertices off their cheapest colors, so the
+    # min-cost flow runs its rounds and the price check has work to do.
     code, text, _ = cli("gen", "dag", "-n", "30", "-q", "3", "--seed", "4",
                         f"--weights={weights}")
     assert code == 0
@@ -499,16 +510,21 @@ def test_answers_do_not_depend_on_the_self_check(tmp_path, weights):
     path.write_text(text)
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    for command in ("cc-spt", "min-cc-spt"):
+    budgets = ["29,29,29"] + (["6,11,12"] if weights == "-3,9" else [])
+    for command, alpha in itertools.product(("cc-spt", "min-cc-spt"),
+                                            budgets):
         outs = []
         for flags in ([], ["-O"]):
             done = subprocess.run(
                 [sys.executable, *flags, "-m", "ccgraph", command, "--json",
-                 "-s", "0", "-a", "29,29,29", str(path)],
+                 "-s", "0", "-a", alpha, str(path)],
                 env=env, capture_output=True, text=True, timeout=60)
             assert (done.returncode, done.stderr) == (0, "")
             outs.append(done.stdout)
-        assert json.loads(outs[0])["feasible"]
+        doc = json.loads(outs[0])
+        assert doc["feasible"]
+        if command == "min-cc-spt" and alpha == "6,11,12":
+            assert doc["stats"]["phases"] >= 1
         assert outs[0] == outs[1]
 
 

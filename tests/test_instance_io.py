@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 from random import Random
 
@@ -9,6 +10,7 @@ from ccgraph import (ColoredDigraph, ParseError, PrecisionError,
                      VertexColoredDigraph, format_instance,
                      format_vcc_instance, instance_io, parse_instance,
                      parse_vcc_instance)
+from ccgraph.cli import run
 from ccgraph.graph import validate
 from ccgraph.testkit import gen_layered_dag, gen_random_dag
 
@@ -435,3 +437,41 @@ def test_plain_files_skip_the_line_reader(monkeypatch):
     again, names = parse_instance(format_instance(g))
     assert again == g and names == {}
     assert all(col.dtype == np.int64 for col in again.columns())
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "dag", "-n", "40", "-q", "3", "--seed", "5"],
+    ["gen", "dag", "-n", "30", "-q", "2", "--seed", "4", "--weights=-3,9"],
+    ["gen", "poscycle", "-n", "25", "-q", "2", "--seed", "1"]])
+def test_generated_files_take_the_column_reader(argv, monkeypatch):
+    # gen writes `#` lines before the header; a leading block of them
+    # keeps the file plain, and it reads to the line reader's graph
+    out, err = io.StringIO(), io.StringIO()
+    assert run(argv, out, err) == 0
+    text = out.getvalue()
+    assert text.startswith("# ")
+    expected = parse_outcome(line_reader_parse, text)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain file went to the line reader")
+
+    monkeypatch.setattr(instance_io, "_Reader", refuse)
+    assert parse_outcome(parse_instance, text) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "#\n# a\n#p ccg 9 9 9\np ccg 2 1 1\na 0 1 1 5\n",
+    "# a\rp ccg 2 1 1\na 0 1 1 5\n",
+    "# a\n# b\x0cc\np ccg 2 1 1\na 0 1 1 5\n",
+    "# a\x85p ccg 2 1 1\na 0 1 1 5\n",
+    "# a\x85c undirected\np ccg 2 1 1\na 0 1 1 5\n",
+    "# a\u2028b\np ccg 2 1 1\na 0 1 1 5\n",
+    "# a\n\np ccg 2 1 1\na 0 1 1 5\n",
+    " # a\np ccg 2 1 1\na 0 1 1 5\n",
+    "p ccg 2 1 1\n# a\na 0 1 1 5\n",
+])
+def test_leading_comments_read_as_the_line_reader_reads_them(text):
+    # a comment holding another line separator is more than one line to
+    # the line reader, so such a file must go to it
+    assert (parse_outcome(parse_instance, text)
+            == parse_outcome(line_reader_parse, text))

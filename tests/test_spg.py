@@ -348,6 +348,32 @@ def test_spg_constructor_takes_no_topo_order(diamond, diamond_min):
         assert all(pos[u] < pos[v] for u, v in zip(t.tolist(), h.tolist()))
 
 
+def test_spg_constructor_rejects_a_cycle():
+    # edges 1 (2->1) and 2 (1->2) close a cycle that the root cannot
+    # reach; the solvers, which take the subgraph to be acyclic, once
+    # answered a "tree" of unreachable vertices here
+    g = ColoredDigraph(3, 2, [(0, 1, 1, 1), (2, 1, 2, 1), (1, 2, 2, 1)])
+    with pytest.raises(NotAcyclic) as err:
+        SpgGraph(g, 0, [0, 1, 2])
+    assert (err.value.vertices, err.value.edge_ids) == ([1, 2], [2, 1])
+    # an acyclic subset keeps the order the constructor checked
+    spg = SpgGraph(g, 0, [0, 2])
+    assert spg._topo_order == [0, 1, 2] == spg.topo_order
+
+
+def test_solver_paths_skip_the_acyclicity_check(diamond, monkeypatch):
+    # build_spg and from_dag have checked their edges already
+    def refuse(*args, **kwargs):
+        raise AssertionError("the subgraph was sorted a second time")
+
+    monkeypatch.setattr(spg_module, "_kahn", refuse)
+    for spg in (build_spg(diamond, 0, sssp(diamond, 0)),
+                SpgGraph.from_dag(diamond, 0, topo_order=[0, 1, 2, 3])):
+        assert spg.edge_count == 4
+    with pytest.raises(AssertionError):
+        SpgGraph(diamond, 0, np.arange(4))
+
+
 @st.composite
 def distance_cases(draw):
     """A small graph with weights 0..3 or -3..5, often with a ring of
