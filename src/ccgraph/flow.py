@@ -65,7 +65,7 @@ from operator import mul
 import numpy as np
 
 from .graph import (INT64_MAX, ColorConstraint, _int_array, _magnitude,
-                    _vertex)
+                    _stable_order, _vertex)
 from .spg import SpgGraph
 
 INF = float("inf")
@@ -147,10 +147,24 @@ def _choice(spg: SpgGraph, minimize: bool) -> tuple[np.ndarray, np.ndarray]:
     color order; edges[i] is the smallest-id edge of that color into that
     head or, with minimize, the lightest such edge and then the smallest
     id. This is the one place where the solvers break ties.
+
+    The tight ids ascend, so a stable sort of the keys puts the smallest id
+    first in each pair's run. With minimize, a stable sort of the combined
+    key key * (hi-lo+1) + (w - lo), lo and hi the least and the greatest
+    weight, puts the lightest edge first, where the combined keys fit
+    int64, and a lexsort by key, weight and id does so elsewhere.
     """
     _, h, c, w, ids = spg.columns()
     key = h.astype(np.int64) * (spg.q + 1) + c
-    order = np.lexsort((ids, w, key) if minimize else (ids, key))
+    if not minimize:
+        order = _stable_order(key)
+    else:
+        lo, hi = (int(w.min()), int(w.max())) if len(w) else (0, 0)
+        if spg.n * (spg.q + 1) * (hi - lo + 1) <= INT64_MAX:
+            order = _stable_order(
+                key * (hi - lo + 1) + np.asarray(w - lo, dtype=np.int64))
+        else:
+            order = np.lexsort((ids, w, key))
     key = key[order]
     first = np.ones(len(key), dtype=bool)
     first[1:] = np.diff(key) != 0
@@ -201,7 +215,7 @@ def build_arb_network(spg: SpgGraph, alpha, minimize: bool = False
     lengths = counts[vertices]
     # equal rows side by side, ids ascending within each run of them; rows
     # of one length at a time, so each is a dense block of its pairs
-    order = np.argsort(lengths, kind="stable")
+    order = _stable_order(lengths)
     new_row = np.ones(len(order), dtype=bool)
     a = 0
     for length, b in enumerate(np.cumsum(np.bincount(lengths)).tolist()):
@@ -214,17 +228,17 @@ def build_arb_network(spg: SpgGraph, alpha, minimize: bool = False
         a = b
     smallest = vertices[order[new_row]]
     # classes numbered by their smallest members
-    cls = np.argsort(np.argsort(smallest))[np.cumsum(new_row) - 1]
-    sizes = np.bincount(cls, minlength=len(smallest))
     first = np.sort(smallest)
     num_classes = len(first)
+    number = np.full(n, -1, dtype=np.int64)
+    number[first] = np.arange(num_classes)
+    cls = number[smallest][np.cumsum(new_row) - 1]
+    sizes = np.bincount(cls, minlength=num_classes)
     # the pairs of each class's smallest member, class by class
-    is_first = np.zeros(n, dtype=bool)
-    is_first[first] = True
-    pair = np.flatnonzero(is_first[heads])
+    pair = np.flatnonzero(number[heads] >= 0)
     ks = np.repeat(np.arange(num_classes), counts[first])
     H = FlowNetwork(q + num_classes + 2, 0, q + num_classes + 1)
-    H.class_members = vertices[order[np.argsort(cls, kind="stable")]]
+    H.class_members = vertices[order[_stable_order(cls)]]
     H.choice, H.cost_shift = choice, lo
     H.color_arc_range = (q, q + len(ks))
     H.arc_tails = ([0] * q + colors[pair].tolist()

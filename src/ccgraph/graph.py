@@ -189,11 +189,51 @@ def _edge_columns(columns) -> list[np.ndarray]:
     return out
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """`np.argsort(keys, kind="stable")` of non-negative int64 keys.
+
+    A least-significant-digit sort in 16-bit digits: numpy sorts a uint16
+    array stably by radix, in linear time, while its stable sort of int64
+    is a merge sort, three to seven times slower on 60k to 200k keys in
+    random order. Keys below 2^16 take one pass, keys below 2^32 two.
+    """
+    # the cast keeps the low 16 bits
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, int(keys.max(initial=0)).bit_length(), 16):
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
+
+
+def _out_csr(n: int, tails: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges grouped by tail, as (order, start, degree).
+
+    order[start[v]:start[v+1]] are the ids of v's degree[v] out-edges.
+    Their order within a vertex is ascending up to 2^16 vertices, where a
+    uint16 copy of the tails takes one radix pass, and arbitrary above,
+    where numpy's quicksort of the int64 tails beats two passes.
+    """
+    degree = np.bincount(tails, minlength=n)
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=start[1:])
+    order = _stable_order(tails) if n <= 1 << 16 else np.argsort(tails)
+    return order, start, degree
+
+
+def _out_positions(start: np.ndarray, frontier: np.ndarray, deg: np.ndarray,
+                   total: int) -> np.ndarray:
+    """The CSR positions of the out-edges of `frontier`, vertex by vertex:
+    `deg` is their degrees and `total` the sum of them."""
+    return np.arange(total) + np.repeat(
+        start[frontier] - (np.cumsum(deg) - deg), deg)
+
+
 def _ids_by_vertex(n: int, keys: np.ndarray, ids: np.ndarray
                    ) -> list[list[int]]:
     """`ids` grouped into one list per vertex by `keys` (a vertex id in
     0..n-1 for each id), in their given order within a vertex."""
-    flat = ids[np.argsort(keys, kind="stable")].tolist()
+    flat = ids[_stable_order(keys)].tolist()
     ends = np.cumsum(np.bincount(keys, minlength=n)).tolist()
     return [flat[a:b] for a, b in zip([0] + ends, ends)]
 

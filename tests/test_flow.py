@@ -10,6 +10,7 @@ from ccgraph import (ColoredDigraph, FlowNetwork, SpgGraph,
                      build_arb_network, build_spg, cc_arb_flow,
                      dinitz_max_flow, min_cost_max_flow, min_cut,
                      solve_cc_arb, sssp)
+from ccgraph.flow import _choice
 from ccgraph.testkit import BipartiteGraph, gen_layered_dag, hopcroft_karp
 
 
@@ -328,6 +329,70 @@ def test_arb_networks_stay_class_sized(monkeypatch):
     solve_cc_arb(spg, (g.n,) * 8, minimize=True)
     assert [H.num_nodes for H in built] == [8 + len(signatures) + 2,
                                             8 + len(cost_rows) + 2]
+
+
+def choice_oracle(spg, minimize):
+    """`_choice` as it was with one lexsort of key, weight and edge id."""
+    _, h, c, w, ids = spg.columns()
+    key = h.astype(np.int64) * (spg.q + 1) + c
+    order = np.lexsort((ids, w, key) if minimize else (ids, key))
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = np.diff(key) != 0
+    return key[first], ids[order[first]]
+
+
+def check_choice(spg):
+    for minimize in (False, True):
+        keys, edges = _choice(spg, minimize)
+        ref_keys, ref_edges = choice_oracle(spg, minimize)
+        assert keys.dtype == ref_keys.dtype and edges.dtype == ref_edges.dtype
+        assert keys.tolist() == ref_keys.tolist()
+        assert edges.tolist() == ref_edges.tolist()
+
+
+CHOICE_WEIGHTS = [
+    st.integers(-3, 3),
+    st.integers((1 << 62) - 2, (1 << 62) + 2),
+    st.integers(1 << 63, (1 << 63) + 3),
+    # a spread too wide for one combined key
+    st.sampled_from([-(1 << 62), 1 << 62, 0, -5, (1 << 63) + 1]),
+]
+
+
+@st.composite
+def tight_subgraphs(draw):
+    """Small DAGs with many parallel edges per (head, color), taken whole
+    or as a subset of their edge ids, in any order and with repeats."""
+    n = draw(st.integers(1, 10))
+    q = draw(st.sampled_from([1, 2, 3, 5, 512]))
+    weight = draw(st.sampled_from(CHOICE_WEIGHTS))
+    color = st.one_of(st.integers(1, min(q, 3)), st.integers(1, q))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    ends = draw(st.lists(pair.filter(lambda p: p[0] < p[1]),
+                         max_size=40)) if n > 1 else []
+    edges = [(t, h, draw(color), draw(weight)) for t, h in ends]
+    g = ColoredDigraph(n, q, edges)
+    if draw(st.booleans()) or not edges:
+        return SpgGraph.from_dag(g, 0)
+    ids = draw(st.lists(st.integers(0, len(edges) - 1), max_size=50))
+    return SpgGraph(g, 0, ids)
+
+
+@given(tight_subgraphs())
+def test_choice_matches_the_lexsort(spg):
+    check_choice(spg)
+
+
+def test_choice_matches_the_lexsort_on_layered_dags():
+    # the keys take two 16-bit digits; with weights 1..10^6 the
+    # combined key takes three
+    for n, q, top in ((20000, 8, 3), (20000, 8, 10 ** 6), (5000, 512, 3)):
+        g = gen_layered_dag(n, 3 * n, q, seed=7)
+        t, h, c, _ = g.columns()
+        w = np.random.default_rng(7).integers(1, top + 1, g.m)
+        check_choice(SpgGraph.from_dag(
+            ColoredDigraph.from_columns(n, q, t, h, c, w), 0))
 
 
 def test_bipartite_graph_validation():

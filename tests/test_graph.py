@@ -6,7 +6,8 @@ from ccgraph import (CCGraphError, CcSpInstance, ColorConstraint,
                      ColoredDigraph, ConstraintLengthMismatch, EdgeRecord,
                      cc_sp_decide, cc_spt, min_cc_spt,
                      restrict_to, validate)
-from ccgraph.graph import BAD_COLOR_ID, BAD_VERTEX_ID, INT64_MAX, SELF_LOOP
+from ccgraph.graph import (BAD_COLOR_ID, BAD_VERTEX_ID, INT64_MAX, SELF_LOOP,
+                           _stable_order)
 from ccgraph.testkit import brute_cc_sp_decide
 
 
@@ -250,3 +251,32 @@ def test_answers_do_not_depend_on_storage(case):
             outcome(lambda: brute_cc_sp_decide(inst))))
     assert all(s == seen[0] for s in seen[1:])
     assert seen[0][1] == [tuple(e) for e in edges]
+
+
+@st.composite
+def sort_keys(draw):
+    """Keys below 2^bits, drawn from a few values so that ties come up at
+    every width."""
+    bits = draw(st.integers(1, 63))
+    values = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1,
+                           max_size=12))
+    return draw(st.lists(st.sampled_from(values), max_size=300))
+
+
+@given(sort_keys())
+@example([])
+@example([5])
+@example([7] * 40)
+@example([(1 << 63) - 1, 0, 1 << 16, (1 << 16) - 1, 1 << 32, 1 << 48])
+def test_stable_order_is_numpys_stable_argsort(keys):
+    keys = np.array(keys, dtype=np.int64)
+    assert np.array_equal(_stable_order(keys),
+                          np.argsort(keys, kind="stable"))
+
+
+def test_stable_order_past_65536_keys():
+    rng = np.random.default_rng(7)
+    for top in (1 << 8, 1 << 16, 1 << 17, 1 << 40, INT64_MAX):
+        keys = rng.integers(0, top, 70_000)
+        assert np.array_equal(_stable_order(keys),
+                              np.argsort(keys, kind="stable"))

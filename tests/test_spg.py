@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 
 from ccgraph import (ColoredDigraph, DistanceTable, NegativeCycleReachable,
                      NonPositiveCycle, NotAcyclic, SpgGraph,
-                     UnreachableVertex, build_spg, is_acyclic, sssp)
+                     UnreachableVertex, build_spg, cc_arb_flow, is_acyclic,
+                     sssp)
 from ccgraph import spg as spg_module
-from ccgraph.graph import _int_array
+from ccgraph.graph import _int_array, _out_positions
 from ccgraph.spg import _kahn
 from ccgraph.testkit import gen_layered_dag, gen_random_positive_cycle_digraph
 
@@ -169,6 +170,47 @@ def test_sssp_switches_between_relaxations_on_one_graph():
     graphs.append(gen_random_positive_cycle_digraph(400, 2, 0.02, 7))
     for g in graphs:
         assert sssp(g, 0).dist == dijkstra_reference(g, 0).dist
+
+
+LAYERED_WEIGHTS = {"0..2": (0, 2), "1..3": (1, 3), "1..10^6": (1, 10 ** 6),
+                   "2^62": (1 << 62, (1 << 62) + 2)}
+
+
+@st.composite
+def wide_layered_graphs(draw):
+    """Layered graphs of 50 to 300 vertices in 2 to 4 layers with 10 to 16
+    edges a vertex, so that the source's out-edges alone pass
+    _SCALAR_EDGES, plus up to five pairs of zero-weight edges both ways."""
+    n = draw(st.integers(50, 300))
+    dag = gen_layered_dag(n, draw(st.integers(10, 16)) * n, 2,
+                          seed=draw(st.integers(0, 999)),
+                          num_layers=draw(st.integers(2, 4)))
+    lo, hi = LAYERED_WEIGHTS[draw(st.sampled_from(sorted(LAYERED_WEIGHTS)))]
+    rng = np.random.default_rng(draw(st.integers(0, 999)))
+    pairs = rng.integers(0, n, (draw(st.integers(0, 5)), 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    t, h, c, _ = dag.columns()
+    t = np.concatenate([t, pairs[:, 0], pairs[:, 1]])
+    h = np.concatenate([h, pairs[:, 1], pairs[:, 0]])
+    w = np.concatenate([rng.integers(lo, hi + 1, dag.m),
+                        np.zeros(2 * len(pairs), dtype=np.int64)])
+    return ColoredDigraph.from_columns(n, 2, t, h, np.ones(len(t), np.int64),
+                                       w)
+
+
+@given(wide_layered_graphs())
+def test_sssp_vector_rounds_match_heapq_dijkstra(g):
+    rounds = []
+
+    def positions(*args):
+        rounds.append(args[-1])
+        return _out_positions(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spg_module, "_out_positions", positions)
+        d = sssp(g, 0)
+    assert rounds
+    assert d.dist == dijkstra_reference(g, 0).dist
 
 
 def test_distance_table_takes_integers_and_none_only():
@@ -359,6 +401,18 @@ def test_spg_constructor_rejects_a_cycle():
     # an acyclic subset keeps the order the constructor checked
     spg = SpgGraph(g, 0, [0, 2])
     assert spg._topo_order == [0, 1, 2] == spg.topo_order
+
+
+def test_spg_constructor_keeps_edge_ids_ascending_and_once(diamond):
+    # the solvers break ties by edge id on the ids in stored order; given
+    # all four ids last first, they once paired vertex 1 with edge 3,
+    # which enters vertex 3
+    spg = SpgGraph(diamond, 0, [3, 2, 1, 0, 2])
+    assert spg.edge_ids.tolist() == [0, 1, 2, 3]
+    assert spg.in_edge_ids() == [[], [0], [1], [2, 3]]
+    tree = cc_arb_flow(spg, (3, 3))
+    assert tree == cc_arb_flow(SpgGraph(diamond, 0, np.arange(4)), (3, 3))
+    assert tree.parent_edge == {1: 0, 2: 1, 3: 2}
 
 
 def test_solver_paths_skip_the_acyclicity_check(diamond, monkeypatch):
