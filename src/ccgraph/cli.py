@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import deque
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,8 +20,7 @@ from .arborescence import Arborescence, solve_cc_arb, verify_arborescence
 from .constrained_path import CcSpInstance, VccSpInstance, cc_to_vcc, \
     cc_sp_decide, vcc_to_cc
 from .errors import CCGraphError
-from .graph import (ColoredDigraph, ColorConstraint, _out_csr,
-                    _out_positions, restrict_to)
+from .graph import ColoredDigraph, ColorConstraint, restrict_to
 from .instance_io import (format_instance, format_vcc_instance,
                           parse_instance, parse_vcc_instance)
 from .pipeline import at_least_transform, cc_spt, min_cc_spt, verify_spt
@@ -68,41 +68,20 @@ def _alpha_str(alpha) -> str:
     return ",".join(str(a) for a in alpha)
 
 
-# While fewer vertices than this wait in `_reachable_from`, it follows
-# them one at a time in Python: a numpy step costs some 30 us however few
-# edges it gathers, and a long chain would pay that once per vertex. On
-# layered DAGs of 800 vertices 128 did better than 16, 32 or 64, and on
-# those of 20k vertices all four did the same.
-_FEW_VERTICES = 128
-
-
 def _reachable_from(g: ColoredDigraph, s: int) -> list[int]:
-    """The vertices that s reaches, ascending, by a search over the
-    out-edge CSR: many waiting vertices are followed at once with numpy
-    gathers, a few one at a time."""
-    order, start, degree = _out_csr(g.n, g.tails)
-    heads = g.heads[order]
-    # one buffer, read by Python and by numpy
-    seen = bytearray(g.n)
-    marks = np.frombuffer(seen, dtype=np.uint8)
-    seen[s] = 1
-    S, H, few = memoryview(start), memoryview(heads), _FEW_VERTICES
-    todo = [s]
-    while todo:
-        if len(todo) < few:
-            u = todo.pop()
-            for v in H[S[u]:S[u + 1]]:
-                if not seen[v]:
-                    seen[v] = 1
-                    todo.append(v)
-            continue
-        f = np.array(todo, dtype=np.int64)
-        deg = degree[f]
-        v = heads[_out_positions(start, f, deg, int(deg.sum()))]
-        v = np.unique(v[marks[v] == 0])
-        marks[v] = 1
-        todo = v.tolist()
-    return np.flatnonzero(marks).tolist()
+    out_ids = g.out_edge_ids()
+    heads = g.heads.tolist()
+    seen = [False] * g.n
+    seen[s] = True
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for e in out_ids[u]:
+            h = heads[e]
+            if not seen[h]:
+                seen[h] = True
+                queue.append(h)
+    return [v for v in range(g.n) if seen[v]]
 
 
 def _edge_fields(g: ColoredDigraph, edges) -> list[tuple[int, int, int, int]]:

@@ -205,30 +205,6 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def _out_csr(n: int, tails: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The edges grouped by tail, as (order, start, degree).
-
-    order[start[v]:start[v+1]] are the ids of v's degree[v] out-edges.
-    Their order within a vertex is ascending up to 2^16 vertices, where a
-    uint16 copy of the tails takes one radix pass, and arbitrary above,
-    where numpy's quicksort of the int64 tails beats two passes.
-    """
-    degree = np.bincount(tails, minlength=n)
-    start = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=start[1:])
-    order = _stable_order(tails) if n <= 1 << 16 else np.argsort(tails)
-    return order, start, degree
-
-
-def _out_positions(start: np.ndarray, frontier: np.ndarray, deg: np.ndarray,
-                   total: int) -> np.ndarray:
-    """The CSR positions of the out-edges of `frontier`, vertex by vertex:
-    `deg` is their degrees and `total` the sum of them."""
-    return np.arange(total) + np.repeat(
-        start[frontier] - (np.cumsum(deg) - deg), deg)
-
-
 def _ids_by_vertex(n: int, keys: np.ndarray, ids: np.ndarray
                    ) -> list[list[int]]:
     """`ids` grouped into one list per vertex by `keys` (a vertex id in

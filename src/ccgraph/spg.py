@@ -28,7 +28,7 @@ from .errors import (
     UnreachableVertex,
 )
 from .graph import (INT64_MAX, ColoredDigraph, _ids_by_vertex, _int_array,
-                    _integers, _magnitude, _out_csr, _out_positions, _vertex)
+                    _integers, _magnitude, _stable_order, _vertex)
 
 UNREACHABLE = None
 
@@ -125,8 +125,39 @@ _SCALAR_EDGES = 160
 # A numpy round whose improved vertices lie within this many consecutive
 # buckets files them with one mask per bucket, not with a sort and a
 # split. With delta = max_w * n / m they span at most about m / n + 1
-# buckets: 4 on the layered DAGs and 5 on the grids measured.
+# buckets: 4 on the layered DAGs and 5 on the grids measured; on the
+# layered n=20k DAG the masks make sssp 12 % faster than the sort. Denser
+# graphs with wide weights take the sort in most rounds: on random graphs
+# with m / n from 20 to 500 and weights 1..10^6 it costs the same as the
+# masks within noise, and masks alone were 10 % slower at m / n = 500,
+# where one round may span 500 buckets.
 _FEW_BUCKETS = 8
+
+
+def _out_csr(n: int, tails: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The edges grouped by tail, as (order, start, degree).
+
+    order[start[v]:start[v+1]] are the ids of v's degree[v] out-edges, in
+    no set order within a vertex: no distance depends on it. Up to 2^16
+    vertices a uint16 copy of the tails takes one radix pass, which beats
+    numpy's quicksort of the int64 tails (1.3-1.4 ms for 60k tails). The
+    quicksort stays above, where two passes lost on the n=160k layered DAG
+    (19.9 against 16.4 ms), the size the tree pipeline is also measured at.
+    """
+    degree = np.bincount(tails, minlength=n)
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=start[1:])
+    order = _stable_order(tails) if n <= 1 << 16 else np.argsort(tails)
+    return order, start, degree
+
+
+def _out_positions(start: np.ndarray, frontier: np.ndarray, deg: np.ndarray,
+                   total: int) -> np.ndarray:
+    """The CSR positions of the out-edges of `frontier`, vertex by vertex:
+    `deg` is their degrees and `total` the sum of them."""
+    return np.arange(total) + np.repeat(
+        start[frontier] - (np.cumsum(deg) - deg), deg)
 
 
 def _delta_stepping(g: ColoredDigraph, source: int

@@ -4,10 +4,7 @@ import json
 import os
 import subprocess
 import sys
-from collections import deque
 from pathlib import Path
-
-import numpy as np
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -421,78 +418,6 @@ def test_restrict_reachable_remaps_ids(tmp_path):
     assert doc["tree"] == [{"vertex": 2, "parent": 0, "edge": 0,
                             "color": 1, "weight": 4}]
     assert doc["restricted_to"] == 2
-
-
-def bfs_reachable(g, s):
-    """`cli._reachable_from` as it was: a breadth-first search in Python
-    over the out-edge lists."""
-    out_ids = g.out_edge_ids()
-    heads = g.heads.tolist()
-    seen = [False] * g.n
-    seen[s] = True
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for e in out_ids[u]:
-            h = heads[e]
-            if not seen[h]:
-                seen[h] = True
-                queue.append(h)
-    return [v for v in range(g.n) if seen[v]]
-
-
-def random_digraph(n, m, chain, seed):
-    """m random edges on n vertices, or with `chain` a path 0->...->n-1
-    listed last first with every tenth edge left out, and the source."""
-    rng = np.random.default_rng(seed)
-    if chain:
-        t = np.array([v for v in range(n - 2, -1, -1) if v % 10 != 9],
-                     dtype=np.int64)
-        h = t + 1
-    else:
-        t, h = rng.integers(0, n, (2, m))
-        t, h = t[t != h], h[t != h]
-    return (ColoredDigraph.from_columns(n, 1, t, h, np.ones(len(t), np.int64),
-                                        np.ones(len(t), np.int64)),
-            int(rng.integers(0, n)))
-
-
-@given(st.integers(1, 600), st.integers(0, 4), st.booleans(),
-       st.integers(0, 99))
-def test_reachable_from_matches_the_breadth_first_search(n, k, chain, seed):
-    # from few edges a vertex, where most vertices are cut off, to wide
-    # frontiers that take the numpy steps
-    g, s = random_digraph(n, k * n, chain, seed)
-    assert cli_module._reachable_from(g, s) == bfs_reachable(g, s)
-
-
-def test_reachable_from_past_one_radix_digit():
-    # above 2^16 vertices the CSR sorts the tails by quicksort
-    for n, chain in ((70_000, False), (70_000, True)):
-        g, s = random_digraph(n, n + n // 2, chain, 7)
-        assert cli_module._reachable_from(g, s) == bfs_reachable(g, s)
-
-
-def test_restrict_reachable_output_is_that_of_the_search(tmp_path,
-                                                         monkeypatch):
-    runs = [[command, *json_flag, "--restrict-reachable", "-s", "0",
-             "-a", "400"]
-            for command in ("cc-spt", "min-cc-spt")
-            for json_flag in ([], ["--json"])]
-    for n, k, chain, seed in ((300, 1, False, 3), (400, 2, False, 5),
-                              (300, 0, True, 1)):
-        g, _ = random_digraph(n, k * n, chain, seed)
-        g = ColoredDigraph.from_columns(n, 1, *g.columns()[:3],
-                                        1 + np.arange(g.m) % 7)
-        p = tmp_path / f"g{seed}.ccg"
-        p.write_text(format_instance(g))
-        assert len(bfs_reachable(g, 0)) < n
-        outputs = []
-        for reach in (cli_module._reachable_from, bfs_reachable):
-            monkeypatch.setattr(cli_module, "_reachable_from", reach)
-            outputs.append([cli(*argv, str(p)) for argv in runs])
-        assert outputs[0] == outputs[1]
-        assert all(code == 0 for code, _, _ in outputs[0])
 
 
 def test_bad_inputs_exit_2(tmp_path, diamond_file):

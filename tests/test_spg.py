@@ -10,8 +10,8 @@ from ccgraph import (ColoredDigraph, DistanceTable, NegativeCycleReachable,
                      UnreachableVertex, build_spg, cc_arb_flow, is_acyclic,
                      sssp)
 from ccgraph import spg as spg_module
-from ccgraph.graph import _int_array, _out_positions
-from ccgraph.spg import _kahn
+from ccgraph.graph import _int_array
+from ccgraph.spg import _kahn, _out_positions
 from ccgraph.testkit import gen_layered_dag, gen_random_positive_cycle_digraph
 
 
