@@ -29,8 +29,8 @@ import numpy as np
 from .errors import Violation
 from .flow import (FlowAssignment, build_arb_network, dinitz_max_flow,
                    min_cost_max_flow)
-from .graph import (INT64_MAX, ColoredDigraph, ColorConstraint, _int_array,
-                    _integers, _magnitude, _vertex)
+from .graph import (INT64_MAX, ColoredDigraph, ColorConstraint, _exact_sum,
+                    _int_array, _integers, _magnitude, _vertex)
 from .spg import SpgGraph
 
 
@@ -105,25 +105,28 @@ def _network_solution(spg: SpgGraph, H, assignment) -> Arborescence:
     color order, one member per unit, and each takes the edge the
     network's pair list `H.choice` holds for it in that color.
 
-    The edges are looked up in ascending vertex order, so the sorted pair
-    list is searched front to back: on 20,000 vertices that took a
-    quarter of the time the same lookups took in class order."""
+    The members of a class share their run of pairs, colors ascending,
+    and the class's color->class arcs come in the same color order. So an
+    arc's rank among its class's arcs is the offset of its color in every
+    member's run, and the edge is read at the start of the member's run
+    plus that offset, with no search of the pair list."""
     lo, hi = H.color_arc_range
-    # the color->class arcs come class by class in color order, the
-    # order in which class_members lists the classes
-    color = np.zeros(spg.n, dtype=np.int64)
-    color[H.class_members] = np.repeat(
-        np.asarray(H.arc_tails[lo:hi], dtype=np.int64), assignment.flow[lo:hi])
     keys, chosen = H.choice
-    vertices = np.delete(np.arange(spg.n), spg.root)
-    edges = chosen[np.searchsorted(
-        keys, vertices * (spg.q + 1) + color[vertices])]
+    n = spg.n
+    # the color->class arcs come class by class, classes ascending, in the
+    # order in which class_members lists the classes
+    heads = np.asarray(H.arc_heads[lo:hi], dtype=np.int64)
+    rank = np.arange(hi - lo) - np.searchsorted(heads, heads)
+    counts = np.bincount(keys // (spg.q + 1), minlength=n)
+    at = np.cumsum(counts) - counts
+    at[H.class_members] += np.repeat(rank, assignment.flow[lo:hi])
+    vertices = np.delete(np.arange(n), spg.root)
+    edges = chosen[np.delete(at, spg.root)]
     _, _, c, w = spg.graph.columns()
     counts = np.bincount(c[edges], minlength=spg.q + 1)[1:]
     return Arborescence._of_arrays(
         spg.root, vertices, edges, tuple(counts.tolist()),
-        # summed as Python ints: an int64 sum can wrap
-        sum(w[edges].tolist()))
+        _exact_sum(w[edges]))
 
 
 def cc_arb_flow(spg: SpgGraph, alpha) -> Arborescence | None:
@@ -252,8 +255,7 @@ def _check_arborescence(g: ColoredDigraph, root: int, tree: Arborescence,
                              f"vertex {v} not reachable from the root "
                              "through the chosen edges", vertex=v))
     counts = np.bincount(c[edges], minlength=g.q + 1)[1:].tolist()
-    # summed as Python ints: an int64 sum can wrap
-    total = sum(w[edges].tolist())
+    total = _exact_sum(w[edges])
     if tuple(counts) != tree.color_counts:
         out.append(Violation("counts_mismatch",
                              f"stored color counts {tree.color_counts} "
@@ -283,12 +285,16 @@ def _tree_paths(g: ColoredDigraph, root: int, vertices: np.ndarray,
     vertices[i] takes the in-edge edges[i] (distinct in-range vertices
     other than the root, valid edge ids). Every vertex points at the tail
     of its parent edge, and any other vertex, the root included, at
-    itself; ceil(log2 n) rounds of `d += d[par]; par = par[par]` (Wyllie's
-    list ranking) move each pointer to the end of its parent chain. A
-    vertex is reached when its chain ends at the root, and then d[v] is
-    the weight of its tree path. d is int64 when 2 n max|w| fits, which
-    bounds every partial sum, also around a cycle of parent edges, and an
-    object array of Python ints otherwise.
+    itself; rounds of `d += d[par]; par = par[par]` (Wyllie's list
+    ranking) move each pointer to the end of its parent chain. The rounds
+    stop once no round could change anything: every pointer sits on a
+    vertex that points at itself with d 0, the root or a vertex with no
+    parent edge. That takes ceil(log2 depth) rounds on a tree of that
+    depth, and a parent cycle, which never settles so, runs all
+    ceil(log2 n). A vertex is reached when its chain ends at the root,
+    and then d[v] is the weight of its tree path. d is int64 when
+    2 n max|w| fits, which bounds every partial sum, also around a cycle
+    of parent edges, and an object array of Python ints otherwise.
     """
     n = g.n
     t, _, _, w = g.columns()
@@ -298,7 +304,16 @@ def _tree_paths(g: ColoredDigraph, root: int, vertices: np.ndarray,
     d[vertices] = weights
     par = np.arange(n)
     par[vertices] = t[edges]
+    # a vertex that may still move: the whole arrays are tested only once
+    # it has settled, so a deep chain pays for few tests
+    last = n - 1
     for _ in range((n - 1).bit_length()):
-        d = d + d[par]
-        par = par[par]
+        step, up = d[par], par[par]
+        if not step[last] and up[last] == par[last]:
+            moving = np.flatnonzero((step != 0) | (up != par))
+            if not len(moving):
+                break
+            last = moving[-1]
+        d += step
+        par = up
     return par == root, d

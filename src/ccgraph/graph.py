@@ -219,6 +219,15 @@ def _magnitude(a: np.ndarray) -> int:
     return max(-int(a.min()), int(a.max()), 0) if len(a) else 0
 
 
+def _exact_sum(a: np.ndarray) -> int:
+    """The sum of an integer array, exactly, as a Python int: in int64
+    when len(a) * max|a| fits, which bounds every partial sum, and over
+    Python ints otherwise and for object arrays."""
+    if a.dtype != object and len(a) * _magnitude(a) <= INT64_MAX:
+        return int(a.sum())
+    return sum(a.tolist())
+
+
 def validate(g: ColoredDigraph) -> ValidationError | None:
     """Check structural invariants; return the first violation or None.
 

@@ -85,8 +85,9 @@ def verify_spt(g: ColoredDigraph, source: int, spt, alpha
     the path's weight below by d_T(v), which the tree path attains, and
     summed around a cycle it shows the cycle's weight is not negative.
     So no distances are recomputed: d_T comes from the pointer doubling
-    that checks reachability, ceil(log2 n) rounds over the parent array,
-    O(n log n) in vectorized steps, and the edge test is one O(m) pass.
+    that checks reachability, ceil(log2 depth) rounds over the parent
+    array for a tree of that depth, at most ceil(log2 n), each O(n) in
+    vectorized steps, and the edge test is one O(m) pass.
 
     Violation kinds beyond those of `verify_arborescence`:
       not_shortest: some edge (u, v) has d_T(u) + w(u, v) < d_T(v), so

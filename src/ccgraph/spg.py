@@ -105,9 +105,11 @@ def sssp(g: ColoredDigraph, source: int) -> DistanceTable:
     relaxes the out-edges of a vertex about once per distance it settles
     at, with numpy gathers over each bucket's frontier, or with a Python
     loop when that frontier has few out-edges (a long chain takes the loop
-    in every bucket). A numpy round files the vertices it improved with
+    in every bucket). A numpy round sorts its frontier in place, drops
+    repeats with one comparison, and files the vertices it improved with
     one mask per bucket when they lie within a few buckets, and with one
-    sort otherwise. Bellman-Ford is O(n m) in Python.
+    sort otherwise; with delta 1 a distance is its own bucket, and the
+    round divides nothing. Bellman-Ford is O(n m) in Python.
     """
     source = _vertex("source", source, g.n)
     if g.m and int(g.columns()[3].min()) < 0:
@@ -216,9 +218,16 @@ def _delta_stepping(g: ColoredDigraph, source: int
                 for v in loose:
                     edges += S[v + 1] - S[v]
             if packed or edges >= _SCALAR_EDGES:
-                f = np.concatenate([*packed, np.array(loose, dtype=np.int64)])
-                f = np.sort(f[dist[f] < relaxed[f]])
-                f = f[np.diff(f, prepend=-1) != 0]
+                if loose:
+                    packed = [*packed, np.array(loose, dtype=np.int64)]
+                f = packed[0] if len(packed) == 1 else np.concatenate(packed)
+                f = f[dist[f] < relaxed[f]]
+                f.sort()
+                # the first of each run of repeats
+                keep = np.empty(len(f), dtype=bool)
+                keep[:1] = True
+                np.not_equal(f[1:], f[:-1], out=keep[1:])
+                f = f[keep]
                 deg = out_deg[f]
                 edges = int(deg.sum())
                 if edges < _SCALAR_EDGES:
@@ -251,14 +260,15 @@ def _delta_stepping(g: ColoredDigraph, source: int
             relaxed[f] = df
             idx = _out_positions(start, f, deg, edges)
             v = head[idx]
-            nd = np.repeat(df, deg) + wt[idx]
+            nd = np.repeat(df, deg)
+            nd += wt[idx]
             better = nd < dist[v]
             # v may repeat; the bucket's next round drops repeats
             v = v[better]
             if not len(v):
                 continue
             np.minimum.at(dist, v, nd[better])
-            nb = dist[v] // delta
+            nb = dist[v] if delta == 1 else dist[v] // delta
             # every nb is at least b, since no weight is negative
             lo, hi = int(nb.min()), int(nb.max())
             if hi - lo < _FEW_BUCKETS:

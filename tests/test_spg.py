@@ -3,7 +3,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ccgraph import (ColoredDigraph, DistanceTable, NegativeCycleReachable,
                      NonPositiveCycle, NotAcyclic, SpgGraph,
@@ -503,3 +503,32 @@ def test_build_spg_matches_a_sort_of_all_tight_edges(case):
     assert spg.topo_order == ref.topo_order
     pos = {v: i for i, v in enumerate(spg.topo_order)}
     assert all(pos[edges[j][0]] < pos[edges[j][1]] for j in tight)
+
+
+@st.composite
+def cc_sp_graphs(draw):
+    """The digraphs of the cc_sp benchmark family: 50 to 400 vertices,
+    cyclic, three colors, weights 1..4, about four out-edges a vertex."""
+    n = draw(st.integers(50, 400))
+    return gen_random_positive_cycle_digraph(n, 3, 4 / n,
+                                             draw(st.integers(0, 10 ** 6)),
+                                             (1, 4))
+
+
+FAMILIES = {"cc_sp": cc_sp_graphs(), "layered": wide_layered_graphs()}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("cut", ["vector", "default", "scalar"])
+@settings(max_examples=50)
+@given(data=st.data())
+def test_sssp_matches_heapq_dijkstra_on_the_cc_sp_family(cut, family, data):
+    # the cut sends every frontier to the numpy round, leaves it as it is,
+    # or sends every frontier to the Python loop
+    g = data.draw(FAMILIES[family])
+    with pytest.MonkeyPatch.context() as mp:
+        if cut != "default":
+            mp.setattr(spg_module, "_SCALAR_EDGES",
+                       0 if cut == "vector" else g.m + 1)
+        d = sssp(g, 0)
+    assert d.dist == dijkstra_reference(g, 0).dist
