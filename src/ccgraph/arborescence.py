@@ -218,23 +218,32 @@ def _check_arborescence(g: ColoredDigraph, root: int, tree: Arborescence,
                              f"tree rooted at {tree.root}, expected {root}"))
         return out, None
     _, h, c, w = g.columns()
+    # A solver's tree passes every mask below whole; it is then read as
+    # it stands, without the masked copies.
     keys, edges = tree.vertices, tree.edges
     inside = (keys >= 0) & (keys < n) & (keys != root)
-    vertices = keys[inside].astype(np.int64)
+    whole = inside.all()
+    vertices = (keys.astype(np.int64, copy=False) if whole
+                else keys[inside].astype(np.int64))
     covered = np.zeros(n, dtype=bool)
     covered[vertices] = True
     covered[root] = True
     for v in np.flatnonzero(~covered).tolist():
         out.append(Violation("not_spanning", f"vertex {v} has no in-edge",
                              vertex=v))
-    for v in keys[~inside].tolist():
-        out.append(Violation("extra_vertex",
-                             f"in-edge for vertex {v} outside the graph "
-                             "or for the root", vertex=v))
-    edges = edges[inside]
+    if not whole:
+        for v in keys[~inside].tolist():
+            out.append(Violation("extra_vertex",
+                                 f"in-edge for vertex {v} outside the graph "
+                                 "or for the root", vertex=v))
+        edges = edges[inside]
     in_range = (edges >= 0) & (edges < m)
-    entered = np.full(len(edges), -1, dtype=h.dtype)
-    entered[in_range] = h[edges[in_range].astype(np.int64)]
+    if in_range.all():
+        edges = edges.astype(np.int64, copy=False)
+        entered = h[edges]
+    else:
+        entered = np.full(len(edges), -1, dtype=h.dtype)
+        entered[in_range] = h[edges[in_range].astype(np.int64)]
     wrong = in_range & (entered != vertices)
     bad = np.flatnonzero(~in_range | wrong)
     for i, v, e, got in zip(bad.tolist(), vertices[bad].tolist(),
@@ -247,8 +256,9 @@ def _check_arborescence(g: ColoredDigraph, root: int, tree: Arborescence,
                                  f"edge id {e} out of range", vertex=v,
                                  edge=e))
     usable = in_range & ~wrong
-    vertices = vertices[usable]
-    edges = edges[usable].astype(np.int64)
+    if not usable.all():
+        vertices = vertices[usable]
+        edges = edges[usable].astype(np.int64)
     reached, d = _tree_paths(g, root, vertices, edges)
     for v in vertices[~reached[vertices]].tolist():
         out.append(Violation("not_reachable",

@@ -14,9 +14,10 @@ line separator other than its closing newline (`str.splitlines` splits
 at more characters than newline), then one `p ccg <n> <m> <q>` line with
 n >= 1 and m >= 1, then exactly m lines `a <int> <int> <int> <int>`,
 single-spaced, each integer at most 18 ASCII digits with an optional
-`-`, and nothing else. Every other text, and a plain file whose graph
-fails `validate`, goes through the line reader, so every error message
-and line number comes from it.
+`-`, and nothing else; the body is checked in whole-body byte passes
+(`_plain_edges`), not line by line. Every other text, and a plain file
+whose graph fails `validate`, goes through the line reader, so every
+error message and line number comes from it.
 """
 
 from __future__ import annotations
@@ -32,19 +33,23 @@ from .graph import ColoredDigraph, validate
 
 _WEIGHT_LIMIT = 1 << 63
 
-# A plain file's header, and the start of any body line that is not a
-# plain edge line. At most 18 digits fit int64 with room to spare, so
-# numpy's conversion cannot saturate. The search looks at one line at a
-# time: a repeated group over the whole body would keep state per line.
+# A plain file's header. At most 18 digits fit int64 with room to spare,
+# so numpy's conversion cannot saturate; the body's integers keep to the
+# same limit (see `_plain_edges`).
 _COUNT = r"([0-9]{1,18})"
 _PLAIN_HEADER = re.compile(rf"p ccg {_COUNT} {_COUNT} {_COUNT}\n")
 # Leading comment lines free of every other `str.splitlines` separator, so
 # that the line reader sees the same lines and numbers them the same way.
 _PLAIN_COMMENTS = re.compile(
     r"(?:#[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*\n)*")
-_INT = r" -?[0-9]{1,18}"
-_NOT_PLAIN_EDGE = re.compile(rf"^(?!a{_INT}{_INT}{_INT}{_INT}$)",
-                             re.MULTILINE)
+# The bytes of a plain body, and two byte classings of them for the test
+# of neighbours in `_plain_edges`: _IS gives a byte's classes (1: a digit
+# or `-`, 2: a space or a newline, 4: `-`), _BARS the classes that may not
+# come right after it.
+_FIELD_BYTES = b"0123456789-"
+_PLAIN_BYTES = _FIELD_BYTES + b" \na"
+_IS = bytes.maketrans(_PLAIN_BYTES, b"\1" * 10 + b"\5\2\2\0")
+_BARS = bytes.maketrans(_PLAIN_BYTES, b"\4" * 10 + b"\6\2\1\1")
 
 
 class _Reader:
@@ -216,6 +221,33 @@ class _Reader:
         self.edge_lines.append(lineno)
 
 
+def _plain_edges(body: str, m: int) -> bool:
+    """Whether `body` is exactly m lines `a( -?[0-9]{1,18}){4}` joined by
+    newlines, checked in a few passes over its bytes.
+
+    Deleting the digits and `-` must leave m skeletons `a    `, one space
+    before each field. The length comes first, so that nothing sized by a
+    declared m is built before the body shows it. The rest is a test of
+    neighbours: each line and its first field open right at the `a` and
+    its space, no field is empty or a bare `-`, and a `-` comes only after
+    a space. Then each field is `-?[0-9]+`, and no run of digits may pass
+    18.
+    """
+    try:
+        raw = body.encode("ascii")
+    except UnicodeEncodeError:
+        return False
+    skeleton = raw.translate(None, _FIELD_BYTES)
+    if (len(skeleton) != 6 * m - 1
+            or skeleton != b"a    \n" * (m - 1) + b"a    "
+            or raw[:1] != b"a" or not raw[-1:].isdigit()):
+        return False
+    classes = raw.translate(_IS)
+    barred = (np.frombuffer(raw.translate(_BARS), np.uint8)[:-1]
+              & np.frombuffer(classes, np.uint8)[1:])
+    return not barred.any() and b"\1" * 19 not in classes
+
+
 def _plain_graph(text: str) -> ColoredDigraph | None:
     """The valid graph of a plain file, read in columns, or None."""
     header = _PLAIN_HEADER.match(text, _PLAIN_COMMENTS.match(text).end())
@@ -226,7 +258,7 @@ def _plain_graph(text: str) -> ColoredDigraph | None:
     if body.endswith("\n"):
         body = body[:-1]
     # m lines, each an edge line, so m >= 1; validate rejects n = 0
-    if body.count("\n") != m - 1 or _NOT_PLAIN_EDGE.search(body):
+    if not _plain_edges(body, m):
         return None
     values = np.fromstring(body.replace("a", " "), dtype=np.int64, sep=" ")
     if len(values) != 4 * m:

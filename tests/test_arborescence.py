@@ -9,7 +9,10 @@ from ccgraph import (Arborescence, ColorConstraint, ColoredDigraph, SpgGraph,
                      WrongColorCount, build_arb_network, cc_arb_flow,
                      min_cc_arb_flow, min_cc_spt, min_cost_max_flow,
                      min_cut, solve_cc_arb, verify_arborescence)
-from ccgraph.arborescence import _prices_hold
+from ccgraph.arborescence import (_check_arborescence, _prices_hold,
+                                  _tree_paths)
+from ccgraph.errors import Violation
+from ccgraph.graph import _exact_sum, _vertex
 from ccgraph.flow import _choice
 from ccgraph.testkit import (brute_cc_arb_general, brute_min_cc_arb,
                              cc_arb_match, cc_rb_arb, gen_layered_dag,
@@ -726,3 +729,134 @@ def test_trees_survive_the_dict_round_trip(case, rng):
         assert trees[0] == trees[1]
         assert (verify_arborescence(g, root, trees[0], alpha)
                 == verify_arborescence(g, root, trees[1], alpha))
+
+
+def masked_check_arborescence(g, root, tree, alpha):
+    # reference: the self-check's body that copies the claimed tree
+    # through its masks, whole or not
+    out = []
+    n, m = g.n, g.m
+    root = _vertex("root", root)
+    if not (0 <= root < n) or tree.root != root:
+        out.append(Violation("wrong_root",
+                             f"tree rooted at {tree.root}, expected {root}"))
+        return out, None
+    _, h, c, w = g.columns()
+    keys, edges = tree.vertices, tree.edges
+    inside = (keys >= 0) & (keys < n) & (keys != root)
+    vertices = keys[inside].astype(np.int64)
+    covered = np.zeros(n, dtype=bool)
+    covered[vertices] = True
+    covered[root] = True
+    for v in np.flatnonzero(~covered).tolist():
+        out.append(Violation("not_spanning", f"vertex {v} has no in-edge",
+                             vertex=v))
+    for v in keys[~inside].tolist():
+        out.append(Violation("extra_vertex",
+                             f"in-edge for vertex {v} outside the graph "
+                             "or for the root", vertex=v))
+    edges = edges[inside]
+    in_range = (edges >= 0) & (edges < m)
+    entered = np.full(len(edges), -1, dtype=h.dtype)
+    entered[in_range] = h[edges[in_range].astype(np.int64)]
+    wrong = in_range & (entered != vertices)
+    bad = np.flatnonzero(~in_range | wrong)
+    for i, v, e, got in zip(bad.tolist(), vertices[bad].tolist(),
+                            edges[bad].tolist(), entered[bad].tolist()):
+        if in_range[i]:
+            out.append(Violation("wrong_head", f"edge {e} enters {got}, "
+                                 f"not {v}", vertex=v, edge=e))
+        else:
+            out.append(Violation("missing_edge",
+                                 f"edge id {e} out of range", vertex=v,
+                                 edge=e))
+    usable = in_range & ~wrong
+    vertices = vertices[usable]
+    edges = edges[usable].astype(np.int64)
+    reached, d = _tree_paths(g, root, vertices, edges)
+    for v in vertices[~reached[vertices]].tolist():
+        out.append(Violation("not_reachable",
+                             f"vertex {v} not reachable from the root "
+                             "through the chosen edges", vertex=v))
+    counts = np.bincount(c[edges], minlength=g.q + 1)[1:].tolist()
+    total = _exact_sum(w[edges])
+    if tuple(counts) != tree.color_counts:
+        out.append(Violation("counts_mismatch",
+                             f"stored color counts {tree.color_counts} "
+                             f"but edges give {tuple(counts)}"))
+    if total != tree.total_weight:
+        out.append(Violation("weight_mismatch",
+                             f"stored total weight {tree.total_weight} "
+                             f"but edges sum to {total}"))
+    try:
+        alpha = ColorConstraint.of(alpha)
+        alpha.require_length(g.q)
+    except Exception as exc:
+        out.append(Violation("budget_length", str(exc)))
+        return out, d
+    for i in range(g.q):
+        if counts[i] > alpha[i]:
+            out.append(Violation("color_budget",
+                                 f"color {i + 1} used {counts[i]} times, "
+                                 f"budget {alpha[i]}"))
+    return out, d
+
+
+@st.composite
+def claimed_trees(draw):
+    """A digraph with cycles, and a claimed tree: each listed vertex takes
+    one of its in-edges, some of them wrong heads or ids out of range,
+    with vertices left out or added (the root, negative ids and ids
+    outside the graph), and stored counts and totals right or not."""
+    n = draw(st.integers(1, 8))
+    q = draw(st.integers(1, 3))
+    weight = st.one_of(st.integers(-5, 9), st.sampled_from([2 ** 62, -2 ** 62]))
+    edges = [(t, h, draw(st.integers(1, q)), draw(weight))
+             for t in range(n) for h in range(n)
+             if t != h and draw(st.booleans())]
+    g = ColoredDigraph(n, q, edges)
+    m = len(edges)
+    root = draw(st.integers(0, n - 1))
+    into = {v: [e for e, (_, h, _, _) in enumerate(edges) if h == v]
+            for v in range(n)}
+    parent = {}
+    for v in range(n):
+        if v == root or not into[v] or draw(st.integers(0, 9)) == 0:
+            continue
+        parent[v] = draw(st.sampled_from(into[v]))
+    for v in list(parent):
+        kind = draw(st.sampled_from(["right"] * 6 + ["head", "range"]))
+        if kind == "head" and m:
+            parent[v] = draw(st.integers(0, m - 1))
+        elif kind == "range":
+            parent[v] = draw(st.sampled_from([-1, m, m + 3, 2 ** 64]))
+    for v in draw(st.lists(st.sampled_from([root, -1, -2, n, n + 4, 2 ** 70]),
+                           max_size=2)):
+        parent[v] = draw(st.integers(-1, m))
+    listed = [e for v, e in parent.items()
+              if 0 <= v < n and v != root and 0 <= e < m
+              and edges[e][1] == v]
+    counts = tuple(sum(edges[e][2] == k for e in listed)
+                   for k in range(1, q + 1))
+    total = sum(edges[e][3] for e in listed)
+    if draw(st.booleans()):
+        counts = tuple(draw(st.integers(0, 3)) for _ in range(q))
+    if draw(st.booleans()):
+        total += draw(st.integers(-2, 2))
+    alpha = tuple(draw(st.integers(0, n)) for _ in range(
+        draw(st.sampled_from([q, q, q, q + 1]))))
+    tree_root = draw(st.sampled_from([root] * 9 + [(root + 1) % n]))
+    return g, root, Arborescence(tree_root, parent, counts, total), alpha
+
+
+@settings(max_examples=400)
+@given(claimed_trees())
+def test_self_check_reads_whole_trees_as_the_masked_body(case):
+    g, root, tree, alpha = case
+    out, d = _check_arborescence(g, root, tree, alpha)
+    want, want_d = masked_check_arborescence(g, root, tree, alpha)
+    assert out == want
+    if want_d is None:
+        assert d is None
+    else:
+        assert d.dtype == want_d.dtype and d.tolist() == want_d.tolist()

@@ -1,4 +1,6 @@
 import io
+import re
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -422,10 +424,91 @@ def test_parse_matches_the_line_reader(edit, data):
     "p ccg 0 1 1\na 0 1 1 1\n",
     "p ccg 2 0 1\n",
     "p ccg 2 1 1\n",
+    f"p ccg 2 {10 ** 17} 1\na 0 1 1 1\n",
+    "p ccg 2 1 1\na 0 1 1 0000000000000000001\n",
+    "p ccg 2 1 1\na0 1 1 1 1\n",
+    "p ccg 8 1 1\n7a 0 1 1 5\n",
+    "p ccg 2 1 1\na 0 1 1 1-2\n",
+    "p ccg 2 1 1\na 0 1 1 -\n",
+    "p ccg 2 1 1\na 0 1 1 --1\n",
+    "p ccg 2 1 1\na 0 1a 1 5\n",
 ])
 def test_parse_matches_the_line_reader_at_the_edges(text):
     assert (parse_outcome(parse_instance, text)
             == parse_outcome(line_reader_parse, text))
+
+
+def test_a_large_declared_edge_count_builds_nothing_of_its_size():
+    # the body's newlines are counted before anything sized by m is built
+    text = f"p ccg 2 {10 ** 7} 1\na 0 1 1 1\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="header declares"):
+            parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# The check a plain body passed before the byte passes: one regular
+# expression searched line by line, and the newline count.
+NOT_PLAIN_EDGE = re.compile(r"^(?!a( -?[0-9]{1,18}){4}$)", re.MULTILINE)
+# Edits to a plain body: other line separators and spaces, non-ASCII
+# letters and digits, other signs, and fields at the 18-digit limit.
+BODY_EDITS = ["\r", "\t", "\x0b", "\x1c", "\x85", "\u00e9", "\u0663", "+",
+              "_", "--", "a", "-", " ", "\n", "0", "7", "9" * 18, "9" * 19,
+              "0" * 19]
+
+
+@settings(max_examples=500)
+@given(data=st.data())
+def test_plain_body_check_equals_the_line_regex(data):
+    m = data.draw(st.integers(1, 6))
+    field = st.one_of(st.integers(-9, 9),
+                      st.integers(-(10 ** 18) + 1, 10 ** 18 - 1))
+    lines = [" ".join(["a"] + [str(data.draw(field)) for _ in range(4)])
+             for _ in range(m)]
+    body = list("\n".join(lines))
+    for _ in range(data.draw(st.integers(1, 3))):
+        # anywhere, or right before or after an `a`, a space or a newline
+        near = [j for j, ch in enumerate(body) if ch in "a \n"]
+        i = data.draw(st.one_of(st.integers(0, len(body)),
+                                st.sampled_from(near + [j + 1 for j in near])
+                                if near else st.just(0)))
+        kind = data.draw(st.sampled_from(["insert", "delete", "substitute"]))
+        if kind == "insert":
+            body.insert(i, data.draw(st.sampled_from(BODY_EDITS)))
+        elif body:
+            i = min(i, len(body) - 1)
+            if kind == "delete":
+                del body[i]
+            else:
+                body[i] = data.draw(st.sampled_from(BODY_EDITS))
+    body = "".join(body)
+    declared = m + data.draw(st.sampled_from([-1, 0, 1]))
+    plain = instance_io._plain_edges(body, declared)
+    assert plain == (body.count("\n") == declared - 1
+                     and not NOT_PLAIN_EDGE.search(body))
+    if plain:
+        values = np.fromstring(body.replace("a", " "), dtype=np.int64,
+                               sep=" ")
+        assert len(values) == 4 * declared
+
+
+def test_plain_body_check_equals_the_line_regex_on_every_single_edit():
+    body = "a 0 -1 22 3\na -4 5 0 999999999999999999"
+    edited = {body}
+    for i in range(len(body) + 1):
+        edited.add(body[:i - 1] + body[i:])
+        for piece in BODY_EDITS:
+            edited.add(body[:i] + piece + body[i:])
+            edited.add(body[:i - 1] + piece + body[i:])
+    for text in edited:
+        for declared in (1, 2, 3):
+            assert instance_io._plain_edges(text, declared) == (
+                text.count("\n") == declared - 1
+                and not NOT_PLAIN_EDGE.search(text))
 
 
 def test_plain_files_skip_the_line_reader(monkeypatch):
